@@ -9,7 +9,10 @@
     order and mathematical order coincide — and must be {!forget}-ed the
     moment that proof lapses. Strong closure is a precision device only:
     every stored constraint is individually true, so reading a partially
-    closed matrix merely loses precision, never soundness. *)
+    closed matrix merely loses precision, never soundness.
+
+    The [2·dim] square matrix is stored row-major in one [int array], cell
+    [(i,j)] at index [i*2·dim + j]. *)
 
 type t
 
@@ -22,35 +25,56 @@ val bottom : ?thresholds:int array -> int -> t
 val is_bot : t -> bool
 val dim : t -> int
 
-(** {2 Constraints} — all sound tightenings; bottom passes through. *)
+(** {2 In-place transfers}
 
-(** [add_diff t ~u ~v c] adds [x_u - x_v <= c] with incremental closure. *)
+    A [t] is immutable: states the fixpoint stores are never written. A
+    [buf] is a private mutable copy for one sequence of transfers (the
+    analysis thaws once per basic block): [thaw] copies the matrix once,
+    the {!Buf} operations update it in place, and [freeze] hands the
+    matrix to a new [t] without copying. After [freeze] the [buf] is
+    retired; mutating it raises [Invalid_argument]. *)
+
+type buf
+
+val thaw : t -> buf
+val freeze : buf -> t
+
+(** All operations are sound tightenings or assignments on the variables
+    [0 .. dim-1]; bottom passes through. *)
+module Buf : sig
+  val is_bot : buf -> bool
+
+  (** [add_diff b ~u ~v c] adds [x_u - x_v <= c] with incremental
+      closure (allocation-free after the first call on [b]). *)
+  val add_diff : buf -> u:int -> v:int -> int -> unit
+
+  val add_ub : buf -> int -> int -> unit  (** [add_ub b v c]: [x_v <= c] *)
+
+  val add_lb : buf -> int -> int -> unit  (** [add_lb b v c]: [x_v >= c] *)
+
+  (** [forget b v] drops every constraint mentioning [v]. *)
+  val forget : buf -> int -> unit
+
+  (** [assign_var_plus b ~dst ~src c] is [x_dst := x_src + c] ([dst = src]
+      allowed: an exact shift). The caller guarantees no wraparound. *)
+  val assign_var_plus : buf -> dst:int -> src:int -> int -> unit
+
+  (** [assign_interval b v (lo, hi)] is [x_v := \[lo, hi\]] (forget +
+      unary bounds). *)
+  val assign_interval : buf -> int -> int * int -> unit
+
+  val var_bounds : buf -> int -> int option * int option
+  val diff_bounds : buf -> u:int -> v:int -> int option * int option
+end
+
+(** {2 Persistent transfers} — [thaw], the {!Buf} operation of the same
+    name, [freeze]. *)
+
 val add_diff : t -> u:int -> v:int -> int -> t
-
-(** [add_sum_ub t ~u ~v c] adds [x_u + x_v <= c]. *)
-val add_sum_ub : t -> u:int -> v:int -> int -> t
-
-(** [add_sum_lb t ~u ~v c] adds [-x_u - x_v <= c]. *)
-val add_sum_lb : t -> u:int -> v:int -> int -> t
-
-val add_ub : t -> int -> int -> t  (** [add_ub t v c]: [x_v <= c] *)
-
-val add_lb : t -> int -> int -> t  (** [add_lb t v c]: [x_v >= c] *)
-
-(** {2 Assignments} *)
-
-(** [forget t v] drops every constraint mentioning [v]. *)
+val add_ub : t -> int -> int -> t
+val add_lb : t -> int -> int -> t
 val forget : t -> int -> t
-
-(** [assign_var_plus t ~dst ~src c] is [x_dst := x_src + c] ([dst = src]
-    allowed: an exact shift). The caller guarantees no wraparound. *)
 val assign_var_plus : t -> dst:int -> src:int -> int -> t
-
-(** [assign_const_minus t ~dst ~src c] is [x_dst := c - x_src]. *)
-val assign_const_minus : t -> dst:int -> src:int -> int -> t
-
-(** [assign_interval t v (lo, hi)] is [x_v := \[lo, hi\]] (forget + unary
-    bounds). *)
 val assign_interval : t -> int -> int * int -> t
 
 (** {2 Queries} *)

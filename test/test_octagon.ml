@@ -1,7 +1,9 @@
-(* Octagon domain: DBM lattice laws, soundness of the escalation against
-   the interval baseline (refined states below the interval states on
-   random programs), widening termination, and the end-to-end discharge
-   fixtures (A0505 input-dependent != exits, A0509 imprecise accesses). *)
+(* Octagon domain: DBM lattice laws, in-place transfers against their
+   persistent wrappers (results, aliasing, allocation), soundness of the
+   escalation against the interval baseline (refined states below the
+   interval states on random programs), widening termination, the
+   end-to-end discharge fixtures (A0505 input-dependent != exits, A0509
+   imprecise accesses) and the golden pin of --domain auto on the corpus. *)
 
 module Octagon = Wcet_value.Octagon
 module Analysis = Wcet_value.Analysis
@@ -127,6 +129,113 @@ let test_widening_termination () =
     else state := w
   done;
   Alcotest.(check bool) "widening chain stabilizes quickly" true (!steps < 64)
+
+(* ---- in-place transfers --------------------------------------------- *)
+
+type op =
+  | Forget of int
+  | Diff of int * int * int
+  | Ub of int * int
+  | Lb of int * int
+  | Plus of int * int * int
+  | Interval of int * int * int
+  | Shift of int * int  (* assign_var_plus with dst = src *)
+
+let random_op rng dim =
+  let var () = Pcg.next_int rng dim and const () = Pcg.next_int rng 120 - 20 in
+  match Pcg.next_int rng 7 with
+  | 0 -> Forget (var ())
+  | 1 -> Diff (var (), var (), const ())
+  | 2 -> Ub (var (), const ())
+  | 3 -> Lb (var (), const ())
+  | 4 -> Plus (var (), var (), const ())
+  | 5 ->
+    let lo = const () in
+    Interval (var (), lo, lo + Pcg.next_int rng 40)
+  | _ -> Shift (var (), const ())
+
+let apply_persistent t = function
+  | Forget v -> Octagon.forget t v
+  | Diff (u, v, c) -> Octagon.add_diff t ~u ~v c
+  | Ub (v, c) -> Octagon.add_ub t v c
+  | Lb (v, c) -> Octagon.add_lb t v c
+  | Plus (dst, src, c) -> Octagon.assign_var_plus t ~dst ~src c
+  | Interval (v, lo, hi) -> Octagon.assign_interval t v (lo, hi)
+  | Shift (v, c) -> Octagon.assign_var_plus t ~dst:v ~src:v c
+
+let apply_in_place b = function
+  | Forget v -> Octagon.Buf.forget b v
+  | Diff (u, v, c) -> Octagon.Buf.add_diff b ~u ~v c
+  | Ub (v, c) -> Octagon.Buf.add_ub b v c
+  | Lb (v, c) -> Octagon.Buf.add_lb b v c
+  | Plus (dst, src, c) -> Octagon.Buf.assign_var_plus b ~dst ~src c
+  | Interval (v, lo, hi) -> Octagon.Buf.assign_interval b v (lo, hi)
+  | Shift (v, c) -> Octagon.Buf.assign_var_plus b ~dst:v ~src:v c
+
+(* One thaw, a random op sequence in place, one freeze must equal the same
+   sequence through the persistent wrappers (a thaw and freeze per op), and
+   the thawed state must come out untouched: the fixpoint stores it. *)
+let test_in_place_matches_persistent () =
+  let rng = Pcg.create ~seed:1207L () in
+  for _ = 1 to 200 do
+    let dim = 2 + Pcg.next_int rng 31 in
+    let ops k = List.init k (fun _ -> random_op rng dim) in
+    let prefix = ops (Pcg.next_int rng 6) and seq = ops (1 + Pcg.next_int rng 12) in
+    let build () = List.fold_left apply_persistent (Octagon.top dim) prefix in
+    let start = build () in
+    let b = Octagon.thaw start in
+    List.iter (apply_in_place b) seq;
+    Alcotest.(check bool) "buf bottom agrees" (Octagon.Buf.is_bot b)
+      (Octagon.is_bot (List.fold_left apply_persistent start seq));
+    let in_place = Octagon.freeze b in
+    let persistent = List.fold_left apply_persistent start seq in
+    Alcotest.(check bool)
+      (Printf.sprintf "dim %d: in-place equals persistent" dim)
+      true
+      (Octagon.equal in_place persistent);
+    Alcotest.(check bool)
+      (Printf.sprintf "dim %d: thawed state unchanged" dim)
+      true
+      (Octagon.equal start (build ()));
+    Alcotest.check_raises "a frozen buf cannot be mutated"
+      (Invalid_argument "Octagon.Buf: buffer mutated after freeze") (fun () ->
+        Octagon.Buf.forget b 0)
+  done
+
+(* Words allocated by the calling domain, on both heaps: a matrix copy is
+   larger than the minor heap's object limit and goes straight to the
+   major heap, so [Gc.minor_words] alone would not see it. Major words
+   include the promoted ones, which [Gc.minor_words] already counted. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Ten in-place constraint additions on a closed dim-32 octagon allocate
+   O(n) words each (the closure snapshots, once per buf), far below one
+   n^2 = 4096-word matrix copy. *)
+let test_in_place_allocation () =
+  let dim = 32 in
+  let n = 2 * dim in
+  let o = ref (Octagon.top dim) in
+  for v = 0 to dim - 1 do
+    o := Octagon.assign_interval !o v (0, 100)
+  done;
+  let o = Octagon.close !o in
+  let b = Octagon.thaw o in
+  let before = allocated_words () in
+  for i = 0 to 9 do
+    Octagon.Buf.add_diff b ~u:i ~v:(i + 1) (50 - i)
+  done;
+  let per_op = (allocated_words () -. before) /. 10. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words per add_diff <= n = %d" per_op n)
+    true
+    (per_op <= float_of_int n);
+  let t = Octagon.freeze b in
+  Alcotest.(check bool) "constraints were added" false (Octagon.equal t o);
+  Alcotest.(check (pair (option int) (option int)))
+    "x9 - x10 tightened" (Some (-100), Some 41)
+    (Octagon.diff_bounds t ~u:9 ~v:10)
 
 (* ---- escalation soundness on programs ------------------------------- *)
 
@@ -305,6 +414,61 @@ let test_value_paranoid_corpus () =
               false e0503)
         Corpus.all)
 
+(* The golden pin: one line per corpus scenario (16 entries x conforming/
+   violating) under --domain auto with the paranoid interval cross-check
+   armed — verdict, bound and everything the escalation recorded. The
+   octagon representation may change; these results may not. *)
+let auto_golden_line id variant (s : Corpus.scenario) =
+  let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
+  let annot = s.Corpus.annotations program in
+  let name = id ^ "/" ^ variant in
+  match Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain:Analysis.Auto program with
+  | exception Analyzer.Analysis_failed ds ->
+    Printf.sprintf "%s failed %s" name
+      (String.concat "," (List.map (fun (d : Wcet_diag.Diag.t) -> d.Wcet_diag.Diag.code) ds))
+  | r ->
+    let verdict =
+      match r.Analyzer.verdict with Analyzer.Complete -> "complete" | Analyzer.Partial -> "partial"
+    in
+    let esc =
+      match r.Analyzer.escalation with
+      | None -> "no-escalation"
+      | Some e ->
+        let list f l = "[" ^ String.concat ";" (List.map f l) ^ "]" in
+        Printf.sprintf "funcs=%s transfers=%d slots=%s discharged=%s tightened=%s"
+          (list Fun.id e.Analyzer.ei_funcs) e.Analyzer.ei_transfers
+          (list (Printf.sprintf "0x%x") e.Analyzer.ei_slots)
+          (list
+             (fun (h, f, cause) -> Printf.sprintf "0x%x:%s:%s" h f cause)
+             e.Analyzer.ei_discharged_loops)
+          (list
+             (fun (a, f, before, after) ->
+               Format.asprintf "0x%x:%s:%a->%a" a f Aval.pp before Aval.pp after)
+             e.Analyzer.ei_tightened_accesses)
+    in
+    Printf.sprintf "%s %s bound=%d %s" name verdict r.Analyzer.wcet esc
+
+let auto_golden_lines () =
+  List.concat_map
+    (fun (e : Corpus.entry) ->
+      [
+        auto_golden_line e.Corpus.id "conforming" e.Corpus.conforming;
+        auto_golden_line e.Corpus.id "violating" e.Corpus.violating;
+      ])
+    Corpus.all
+
+let test_auto_golden () =
+  let expected =
+    In_channel.with_open_text "octagon_auto.golden" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Unix.putenv "WCET_VALUE_PARANOID" "1";
+  let actual =
+    Fun.protect ~finally:(fun () -> Unix.putenv "WCET_VALUE_PARANOID" "") auto_golden_lines
+  in
+  Alcotest.(check (list string)) "octagon_auto.golden" expected actual
+
 (* --domain interval must not change any bound: compare against a default
    analyze call on every corpus conforming scenario. *)
 let test_interval_domain_identity () =
@@ -340,6 +504,8 @@ let () =
           Alcotest.test_case "bottom propagation" `Quick test_bottom_propagation;
           Alcotest.test_case "random closure soundness" `Quick test_random_closure_soundness;
           Alcotest.test_case "widening termination" `Quick test_widening_termination;
+          Alcotest.test_case "in-place matches persistent" `Quick test_in_place_matches_persistent;
+          Alcotest.test_case "in-place allocation" `Quick test_in_place_allocation;
         ] );
       ( "escalation",
         [
@@ -349,5 +515,6 @@ let () =
           Alcotest.test_case "escalated bound sound" `Quick test_escalated_bound_sound;
           Alcotest.test_case "paranoid corpus" `Quick test_value_paranoid_corpus;
           Alcotest.test_case "interval identity" `Quick test_interval_domain_identity;
+          Alcotest.test_case "auto golden" `Quick test_auto_golden;
         ] );
     ]
