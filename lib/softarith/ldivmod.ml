@@ -45,25 +45,23 @@ let udivmod a b =
     { quotient = !q; remainder = !r; iterations = !iterations }
   end
 
+(* The correction loop of [udivmod]'s slow path, counting passes. It is a
+   top-level function with [b] and [d1] as arguments: a local closure over
+   them would be allocated on every call (6 words; flambda is off). *)
+let rec correction_passes b d1 r n =
+  let t = (r lsr 16) / d1 in
+  let t = if t = 0 && r >= b then 1 else t in
+  let r = (r - (t * b)) land mask32 in
+  let n = n + 1 in
+  if r >= b then correction_passes b d1 r n else n
+
 (* Allocation-free [iterations]: the histogram calls this once per sample,
    and the [result] record (plus the refs inside [udivmod]) would otherwise
    be the sampling loop's only remaining allocations. Property-tested
-   against [udivmod] in test_softarith. *)
+   against [udivmod], and tested to allocate nothing, in test_softarith. *)
 let iterations a b =
   let b = b land mask32 in
-  if b < 0x10000 then 0
-  else begin
-    let a = a land mask32 in
-    let d1 = (b lsr 16) + 1 in
-    let rec go r n =
-      let t = (r lsr 16) / d1 in
-      let t = if t = 0 && r >= b then 1 else t in
-      let r = (r - (t * b)) land mask32 in
-      let n = n + 1 in
-      if r >= b then go r n else n
-    in
-    go a 0
-  end
+  if b < 0x10000 then 0 else correction_passes b ((b lsr 16) + 1) (a land mask32) 0
 
 let udivmod_restoring a b =
   let a = a land mask32 and b = b land mask32 in

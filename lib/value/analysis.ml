@@ -487,10 +487,24 @@ let half = 0x80000000
 let safe_range v =
   match Aval.range v with Some (_, hi) as r when hi < half -> r | _ -> None
 
-let nregs = 16
-let ovar r = Reg.to_int r
+let nregs = List.length Reg.all
 
-type oct_env = { slot_var : (int, int) Hashtbl.t; slot_addrs : int array }
+(* Octagon variables: the [nr] registers the supergraph names, in register
+   order ([reg_var] maps a register to its variable, -1 when untracked),
+   then the slots at [nr + i]. *)
+type oct_env = {
+  reg_var : int array;
+  nr : int;
+  slot_var : (int, int) Hashtbl.t;
+  slot_addrs : int array;
+}
+
+(* A register no instruction names has no variable: reaching here with one
+   is a bug in the tracked-set computation, never a silent fallback. *)
+let ovar env r =
+  let v = env.reg_var.(Reg.to_int r) in
+  if v < 0 then invalid_arg ("Analysis.ovar: untracked register " ^ Reg.name r);
+  v
 
 let max_slots = 16
 
@@ -526,11 +540,11 @@ let reduce_range bounds iv =
     if Aval.is_bot m then iv else m
 
 let oct_range oct v iv = reduce_range (Ob.var_bounds oct v) iv
-let oct_read oct st r = oct_range oct (ovar r) (State.get_reg st r)
+let oct_read env oct st r = oct_range oct (ovar env r) (State.get_reg st r)
 
 (* x_rd := its interval in [st'] alone; returns [st']. *)
-let oct_def_reg st' oct rd =
-  if not (Reg.equal rd Reg.zero) then oct_set_var oct (ovar rd) (State.get_reg st' rd);
+let oct_def_reg env st' oct rd =
+  if not (Reg.equal rd Reg.zero) then oct_set_var oct (ovar env rd) (State.get_reg st' rd);
   st'
 
 (* Octagon companion of [transfer_insn]. [st] is the interval state before
@@ -544,21 +558,21 @@ let oct_transfer_insn env st st' oct (_addr, insn) =
     match insn with
     | Insn.Alui ((Insn.Add | Insn.Sub), rd, rs1, imm) when not (Reg.equal rd Reg.zero) -> (
       let c = match insn with Insn.Alui (Insn.Sub, _, _, _) -> -imm | _ -> imm in
-      match safe_range (oct_read oct st rs1) with
+      match safe_range (oct_read env oct st rs1) with
       | Some (lo, hi) when lo + c >= 0 && hi + c < half ->
-        Ob.assign_var_plus oct ~dst:(ovar rd) ~src:(ovar rs1) c;
-        oct_meet_unary oct (ovar rd) (State.get_reg st' rd);
+        Ob.assign_var_plus oct ~dst:(ovar env rd) ~src:(ovar env rs1) c;
+        oct_meet_unary oct (ovar env rd) (State.get_reg st' rd);
         st'
-      | _ -> oct_def_reg st' oct rd)
-    | Insn.Alui (_, rd, _, _) -> oct_def_reg st' oct rd
+      | _ -> oct_def_reg env st' oct rd)
+    | Insn.Alui (_, rd, _, _) -> oct_def_reg env st' oct rd
     | Insn.Alu (Insn.Add, rd, rs1, rs2) when not (Reg.equal rd Reg.zero) -> (
-      let v1 = oct_read oct st rs1 and v2 = oct_read oct st rs2 in
+      let v1 = oct_read env oct st rs1 and v2 = oct_read env oct st rs2 in
       match (safe_range v1, safe_range v2) with
       | Some (lo1, hi1), Some (lo2, hi2) when hi1 + hi2 < half ->
-        let d = ovar rd in
+        let d = ovar env rd in
         (match (Aval.singleton v2, Aval.singleton v1) with
-        | Some c, _ -> Ob.assign_var_plus oct ~dst:d ~src:(ovar rs1) c
-        | None, Some c -> Ob.assign_var_plus oct ~dst:d ~src:(ovar rs2) c
+        | Some c, _ -> Ob.assign_var_plus oct ~dst:d ~src:(ovar env rs1) c
+        | None, Some c -> Ob.assign_var_plus oct ~dst:d ~src:(ovar env rs2) c
         | None, None ->
           (* x_rd - x_rs1 in [lo2, hi2] and symmetrically for rs2. *)
           Ob.forget oct d;
@@ -568,17 +582,17 @@ let oct_transfer_insn env st st' oct (_addr, insn) =
               Ob.add_diff oct ~u:s ~v:d (-lo)
             end
           in
-          bound (ovar rs1) (lo2, hi2);
-          bound (ovar rs2) (lo1, hi1));
+          bound (ovar env rs1) (lo2, hi2);
+          bound (ovar env rs2) (lo1, hi1));
         oct_meet_unary oct d (State.get_reg st' rd);
         st'
-      | _ -> oct_def_reg st' oct rd)
+      | _ -> oct_def_reg env st' oct rd)
     | Insn.Alu (Insn.Sub, rd, rs1, rs2) when not (Reg.equal rd Reg.zero) -> (
-      let v1 = oct_read oct st rs1 and v2 = oct_read oct st rs2 in
+      let v1 = oct_read env oct st rs1 and v2 = oct_read env oct st rs2 in
       match (safe_range v1, Aval.singleton v2) with
       | Some (lo1, hi1), Some c when lo1 - c >= 0 && hi1 - c < half ->
-        Ob.assign_var_plus oct ~dst:(ovar rd) ~src:(ovar rs1) (-c);
-        oct_meet_unary oct (ovar rd) (State.get_reg st' rd);
+        Ob.assign_var_plus oct ~dst:(ovar env rd) ~src:(ovar env rs1) (-c);
+        oct_meet_unary oct (ovar env rd) (State.get_reg st' rd);
         st'
       | _ -> (
         (* Project the relational difference: when the octagon proves
@@ -586,30 +600,30 @@ let oct_transfer_insn env st st' oct (_addr, insn) =
            cannot borrow and equals the mathematical difference. This is the
            step that turns a relation into a tight interval for downstream
            address computations. *)
-        match Ob.diff_bounds oct ~u:(ovar rs1) ~v:(ovar rs2) with
+        match Ob.diff_bounds oct ~u:(ovar env rs1) ~v:(ovar env rs2) with
         | Some dlo, Some dhi when dlo >= 0 && dhi < half ->
           let refined = Aval.meet (State.get_reg st' rd) (Aval.interval dlo dhi) in
           let refined = if Aval.is_bot refined then State.get_reg st' rd else refined in
-          oct_set_var oct (ovar rd) refined;
+          oct_set_var oct (ovar env rd) refined;
           State.set_reg st' rd refined
-        | _ -> oct_def_reg st' oct rd))
+        | _ -> oct_def_reg env st' oct rd))
     | Insn.Alu (_, rd, _, _) | Insn.Lui (rd, _) | Insn.Cmovnz (rd, _, _) ->
-      oct_def_reg st' oct rd
+      oct_def_reg env st' oct rd
     | Insn.Load (rd, rs1, imm) when not (Reg.equal rd Reg.zero) -> (
       let av = Aval.add (State.get_reg st rs1) (Aval.of_signed_const imm) in
       match Aval.singleton av with
       | Some a when a land 3 = 0 -> (
         match Hashtbl.find_opt env.slot_var a with
         | Some s ->
-          Ob.assign_var_plus oct ~dst:(ovar rd) ~src:s 0;
+          Ob.assign_var_plus oct ~dst:(ovar env rd) ~src:s 0;
           (* Project the slot's relational bounds back into the interval
              component: the loaded value inherits everything the octagon
              proved about the slot across widening. *)
-          let refined = oct_range oct (ovar rd) (State.get_reg st' rd) in
-          oct_meet_unary oct (ovar rd) refined;
+          let refined = oct_range oct (ovar env rd) (State.get_reg st' rd) in
+          oct_meet_unary oct (ovar env rd) refined;
           State.set_reg st' rd refined
-        | None -> oct_def_reg st' oct rd)
-      | _ -> oct_def_reg st' oct rd)
+        | None -> oct_def_reg env st' oct rd)
+      | _ -> oct_def_reg env st' oct rd)
     | Insn.Load _ -> st'
     | Insn.Store (rs2, rs1, imm) ->
       let av = Aval.add (State.get_reg st rs1) (Aval.of_signed_const imm) in
@@ -617,20 +631,20 @@ let oct_transfer_insn env st st' oct (_addr, insn) =
       | Some a when a land 3 = 0 -> (
         match Hashtbl.find_opt env.slot_var a with
         | Some s ->
-          Ob.assign_var_plus oct ~dst:s ~src:(ovar rs2) 0;
+          Ob.assign_var_plus oct ~dst:s ~src:(ovar env rs2) 0;
           oct_meet_unary oct s (State.get_reg st rs2)
         | None -> ())
       | Some _ -> ()
       | None -> (
         let forget_slots pred =
-          Array.iteri (fun i a -> if pred a then Ob.forget oct (nregs + i)) env.slot_addrs
+          Array.iteri (fun i a -> if pred a then Ob.forget oct (env.nr + i)) env.slot_addrs
         in
         match Aval.range av with
         | Some (lo, hi) when hi - lo <= weak_update_limit_bytes ->
           forget_slots (fun a -> a >= lo && a <= hi)
         | Some _ | None -> forget_slots (fun _ -> true)));
       st'
-    | Insn.Call _ | Insn.Call_reg _ -> oct_def_reg st' oct Reg.lr
+    | Insn.Call _ | Insn.Call_reg _ -> oct_def_reg env st' oct Reg.lr
     | Insn.Branch _ | Insn.Jump _ | Insn.Jump_reg _ | Insn.Halt | Insn.Nop | Insn.Illegal _ -> st'
 
 type pstate = { pst : State.t; poct : Octagon.t }
@@ -655,7 +669,6 @@ let product_transfer env ctx p (node : Supergraph.node) =
   { pst = !st; poct = Octagon.freeze oct }
 
 let product_refine_edge env ctx (node : Supergraph.node) kind p =
-  ignore env;
   match refine_edge ctx node kind p.pst with
   | None -> None
   | Some pst ->
@@ -664,10 +677,10 @@ let product_refine_edge env ctx (node : Supergraph.node) kind p =
       | Func_cfg.Term_branch { cond; rs1; rs2; _ }, (Supergraph.Etaken | Supergraph.Enottaken)
         when not (Octagon.is_bot p.poct) ->
         let holds = kind = Supergraph.Etaken in
-        let read r = reduce_range (Octagon.var_bounds p.poct (ovar r)) (State.get_reg pst r) in
+        let read r = reduce_range (Octagon.var_bounds p.poct (ovar env r)) (State.get_reg pst r) in
         if Option.is_some (safe_range (read rs1)) && Option.is_some (safe_range (read rs2))
         then begin
-          let u = ovar rs1 and v = ovar rs2 in
+          let u = ovar env rs1 and v = ovar env rs2 in
           let oct = p.poct in
           let eff =
             if holds then cond
@@ -702,7 +715,9 @@ let product_refine_edge env ctx (node : Supergraph.node) kind p =
 type escalation = {
   esc_funcs : string list;
   esc_transfers : int;
+  esc_regs : Reg.t list;
   esc_slots : int list;
+  esc_dim : int;
   esc_result : result;
   esc_rel : int -> counter:Reg.t -> other:Reg.t -> int option * int option;
 }
@@ -723,6 +738,37 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
   Array.iter
     (fun (l : Loops.loop) -> List.iter (fun i -> in_loop.(i) <- true) l.Loops.body)
     loops.Loops.loops;
+  (* Registers: only those some instruction or branch of the supergraph
+     names, plus r0 (pinned to zero at entry). A call names lr through
+     [Insn.defs]. A register nothing names stays top for the whole
+     solve — no edge ever touches it, and strengthening needs a finite
+     unary bound — so dropping it from the matrix changes no other cell. *)
+  let named = Array.make nregs false in
+  let name r = named.(Reg.to_int r) <- true in
+  name Reg.zero;
+  Array.iter
+    (fun (nd : Supergraph.node) ->
+      Array.iter
+        (fun (_, insn) ->
+          List.iter name (Insn.uses insn);
+          List.iter name (Insn.defs insn))
+        nd.Supergraph.block.Func_cfg.insns;
+      match nd.Supergraph.block.Func_cfg.term with
+      | Func_cfg.Term_branch { rs1; rs2; _ } ->
+        name rs1;
+        name rs2
+      | _ -> ())
+    graph.Supergraph.nodes;
+  let reg_var = Array.make nregs (-1) in
+  let nr = ref 0 in
+  Array.iteri
+    (fun r is_named ->
+      if is_named then begin
+        reg_var.(r) <- !nr;
+        incr nr
+      end)
+    named;
+  let nr = !nr in
   let slot_var = Hashtbl.create 32 in
   let rev_slots = ref [] in
   let consider i (a : access) =
@@ -731,14 +777,14 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
       when ad land 3 = 0 && in_funcs.(i) && trackable ctx ad
            && (not (Hashtbl.mem slot_var ad))
            && Hashtbl.length slot_var < max_slots ->
-      Hashtbl.add slot_var ad (nregs + Hashtbl.length slot_var);
+      Hashtbl.add slot_var ad (nr + Hashtbl.length slot_var);
       rev_slots := ad :: !rev_slots
     | _ -> ()
   in
   Array.iteri (fun i acc -> if in_loop.(i) then List.iter (consider i) acc) base.accesses;
   Array.iteri (fun i acc -> if not in_loop.(i) then List.iter (consider i) acc) base.accesses;
   let slot_addrs = Array.of_list (List.rev !rev_slots) in
-  let env = { slot_var; slot_addrs } in
+  let env = { reg_var; nr; slot_var; slot_addrs } in
   (* Widening thresholds: the program's own immediates (and the assume
      bounds) are where loop limits live; the doubled values cover the 2c
      encoding of unary cells. *)
@@ -763,10 +809,10 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
       (List.sort_uniq compare
          (List.concat_map (fun c -> [ c; 2 * c ]) (List.filter (fun c -> c > 0 && c < half) !thr)))
   in
-  let dim = nregs + Array.length slot_addrs in
+  let dim = nr + Array.length slot_addrs in
   let entry_oct =
     let o = Octagon.top ~thresholds dim in
-    let o = Octagon.assign_interval o (ovar Reg.zero) (0, 0) in
+    let o = Octagon.assign_interval o (ovar env Reg.zero) (0, 0) in
     List.fold_left
       (fun o (a, v) ->
         match (Hashtbl.find_opt slot_var a, safe_range v) with
@@ -831,12 +877,14 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
   let esc_rel nid ~counter ~other =
     match solution.FP2.out_state nid with
     | None -> (None, None)
-    | Some p -> Octagon.diff_bounds p.poct ~u:(ovar other) ~v:(ovar counter)
+    | Some p -> Octagon.diff_bounds p.poct ~u:(ovar env other) ~v:(ovar env counter)
   in
   {
     esc_funcs = funcs;
     esc_transfers = solution.FP2.transfers;
+    esc_regs = List.filter (fun r -> reg_var.(Reg.to_int r) >= 0) Reg.all;
     esc_slots = Array.to_list slot_addrs;
+    esc_dim = dim;
     esc_result;
     esc_rel;
   }

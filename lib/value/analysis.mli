@@ -83,7 +83,11 @@ val domain_of_string : string -> domain option
 type escalation = {
   esc_funcs : string list;  (** functions that triggered the escalation *)
   esc_transfers : int;  (** product-domain transfer count *)
+  esc_regs : Pred32_isa.Reg.t list;
+      (** tracked registers, in variable order: those the supergraph names,
+          plus [r0] *)
   esc_slots : int list;  (** tracked stack/global word addresses *)
+  esc_dim : int;  (** octagon variables: the tracked registers, then the slots *)
   esc_result : result;
       (** the interval result refined under the octagon re-solve; leq the
           base result by construction (a per-node meet) *)
@@ -94,8 +98,9 @@ type escalation = {
 }
 
 (** [escalate ~funcs base loops] re-solves the supergraph under the
-    interval x octagon reduced product (relational constraints over the 16
-    registers plus the singleton access targets of [funcs]) and folds the
+    interval x octagon reduced product (relational constraints over the
+    registers the supergraph names plus the singleton access targets of
+    [funcs]) and folds the
     result back under [base]. The product's interval component repeats the
     base transfer, so the refinement can only tighten; the octagon side
     obeys the wraparound contract of {!Octagon}. *)

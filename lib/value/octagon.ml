@@ -14,11 +14,15 @@
         -x_v <= c     lives at  (2v, 2v+1)  as  2c
 
    with the coherence invariant [(i,j) = (bar j, bar i)] where [bar] flips
-   the low bit; every write goes to both cells.
+   the low bit.
 
-   Layout: the n x n matrix (n = 2*dim) is one row-major [int array];
-   cell (i,j) is at index [i*n + j]. Every kernel is a flat loop over that
-   array and allocates nothing per cell.
+   Layout: coherence makes half the n x n matrix (n = 2*dim) redundant, so
+   one [int array] stores Mine's half: cell (i,j) when [j <= i lor 1], at
+   index [j + (i+1)*(i+1)/2], n(n+2)/2 cells in all. Any other cell is read
+   at its mirror. The lattice operations are flat loops over the array,
+   the transfers touch only stored cells, and no kernel allocates per
+   cell. The closure loops skip rows and columns whose candidates are all
+   infinite (see [close_after_add] and [strengthen]).
 
    Ownership: a [t] is immutable — the fixpoint stores it, joins it and
    compares it. Transfers run in place on a [buf]: [thaw] copies a [t]'s
@@ -28,10 +32,8 @@
    basic block, so a block costs one matrix copy however many constraints
    its instructions add, and a state the fixpoint has stored is never
    written. The persistent operations below are [thaw -> op -> freeze]
-   wrappers over the same in-place code. Against the boxed
-   [int array array] that was copied on every constraint, this cuts the
-   words allocated per corpus analysis under [--domain auto] from 3.40 M
-   to 0.48 M (perfbench [corpus_auto]).
+   wrappers over the same in-place code. (Measured costs of this layout
+   against the earlier ones are in DESIGN.md, section 5j.)
 
    Soundness under 32-bit wraparound: a variable participates in
    constraints only while its companion interval proves its concrete value
@@ -51,8 +53,8 @@
 let inf = max_int
 
 type t = {
-  dim : int;  (* octagon variables; matrix is 2*dim square *)
-  m : int array option;  (* row-major cells; None = bottom *)
+  dim : int;  (* octagon variables; the matrix has 2*dim vertices *)
+  m : int array option;  (* half-matrix cells; None = bottom *)
   thr : int array;  (* widening thresholds, sorted ascending *)
 }
 
@@ -62,7 +64,7 @@ type buf = {
   mutable bot : bool;
   mutable frozen : bool;
   bthr : int array;
-  mutable scratch : int array;  (* closure snapshots, 4n cells, made on first use *)
+  mutable scratch : int array;  (* closure snapshots and lists, 5n cells, made on first use *)
 }
 
 let bar i = i lxor 1
@@ -79,11 +81,21 @@ let floor_even c = if c = inf then inf else c - (c land 1)
 
 let no_thresholds = [||]
 
+(* ---- half-matrix layout ---------------------------------------------- *)
+
+(* Cell (i,j) is stored when [j <= i lor 1]: row i holds the columns up to
+   the end of its own vertex pair. [row i] is where that row starts. *)
+let row i = (i + 1) * (i + 1) / 2
+let cells_of_dim dim = 2 * dim * (dim + 1)
+
+(* Any cell, through coherence: an unstored (i,j) is read at its mirror
+   (bar j, bar i), which is stored. *)
+let get m i j = if j <= i lor 1 then m.(row i + j) else m.(row (bar j) + bar i)
+
 let top ?(thresholds = no_thresholds) dim =
-  let n = 2 * dim in
-  let m = Array.make (n * n) inf in
-  for i = 0 to n - 1 do
-    m.((i * n) + i) <- 0
+  let m = Array.make (cells_of_dim dim) inf in
+  for i = 0 to (2 * dim) - 1 do
+    m.(row i + i) <- 0
   done;
   { dim; m = Some m; thr = thresholds }
 
@@ -91,35 +103,51 @@ let bottom ?(thresholds = no_thresholds) dim = { dim; m = None; thr = thresholds
 let is_bot t = Option.is_none t.m
 let dim t = t.dim
 
-(* ---- kernels on a flat n x n matrix --------------------------------- *)
+(* ---- kernels on a half matrix over n vertices ------------------------ *)
 
 (* A DBM is inconsistent when some cycle has negative weight; after the
    incremental updates below it suffices to look at the diagonal and the
-   unary pairs. *)
+   unary pairs (all stored cells). *)
 let consistent m n =
   let ok = ref true in
   for i = 0 to n - 1 do
-    if m.((i * n) + i) < 0 then ok := false;
-    if m.((i * n) + bar i) +! m.((bar i * n) + i) < 0 then ok := false
+    let r = row i in
+    if m.(r + i) < 0 then ok := false;
+    if m.(r + bar i) +! m.(row (bar i) + i) < 0 then ok := false
   done;
   !ok
 
 (* Unary cells encode 2c: floor to even, then strengthen every cell by
-   combining the two unary half-bounds. *)
-let strengthen m n =
+   combining the two unary half-bounds. Only vertices with a finite unary
+   bound can tighten anything, so both loops run over the list of those,
+   kept ascending in [s] from [fin] with their half-bounds beside it at
+   [fin + n]. Cell (i, bar v) is tightened by u_i + u_v; it is stored when
+   [v <= i lor 1], a prefix of the ascending list. *)
+let strengthen m n s fin =
+  let half = fin + n in
+  let nf = ref 0 in
   for i = 0 to n - 1 do
-    let k = (i * n) + bar i in
-    m.(k) <- floor_even m.(k)
-  done;
-  for i = 0 to n - 1 do
-    let ui = floor_even m.((i * n) + bar i) / 2 in
-    if ui < inf / 4 then begin
-      let row = i * n in
-      for j = 0 to n - 1 do
-        let uj = floor_even m.((bar j * n) + j) / 2 in
-        if uj < inf / 4 && ui + uj < m.(row + j) then m.(row + j) <- ui + uj
-      done
+    let k = row i + bar i in
+    let u = floor_even m.(k) in
+    m.(k) <- u;
+    let u = u / 2 in
+    if u < inf / 4 then begin
+      s.(fin + !nf) <- i;
+      s.(half + !nf) <- u;
+      incr nf
     end
+  done;
+  let nf = !nf in
+  for x = 0 to nf - 1 do
+    let i = s.(fin + x) and ui = s.(half + x) in
+    let r = row i and lim = i lor 1 in
+    let y = ref 0 in
+    while !y < nf && s.(fin + !y) <= lim do
+      let k = r + bar s.(fin + !y) in
+      let c = ui + s.(half + !y) in
+      if c < m.(k) then m.(k) <- c;
+      incr y
+    done
   done
 
 (* Tighten all paths through the new constraint [V_b - V_a <= c] (written
@@ -127,60 +155,73 @@ let strengthen m n =
    incremental closure: a shortest path in the updated graph uses the new
    edge at most twice (once in each orientation; a third use would close a
    negative cycle), so five candidates per cell, all evaluated against the
-   pre-insertion matrix, restore strong closure in O(n^2). The rows and
-   columns the candidates read are snapshot into [s] first, so every
-   candidate sees the old (closed) matrix regardless of update order; the
-   per-row path prefixes are hoisted out of the inner loop, which then
-   allocates nothing. *)
+   pre-insertion matrix, restore strong closure in O(n^2).
+
+   Every candidate reads four vectors of the old matrix: column a, column
+   bar b, row b and row bar a. By coherence (i,a) = (bar a, bar i) and
+   (i, bar b) = (b, bar i), so the two rows are all there is to snapshot;
+   [s] holds row b, then row bar a, then the ascending list of columns
+   where either row is finite. A cell's candidates are all infinite unless
+   its column is in that list and, by the same coherence, the bar of its
+   row is too, so both loops run over the list only. Each candidate of a
+   stored cell equals the same candidate of its mirror, which is why
+   updating the stored half alone is exact. *)
 let close_after_add m n s a b c =
-  if c < m.((a * n) + b) then begin
+  if c < get m a b then begin
     let a' = bar a and b' = bar b in
-    (* s = [col a | col bar b | row b | row bar a] *)
-    let col_b' = n and row_b = 2 * n and row_a' = 3 * n in
+    let row_a' = n and cols = 2 * n in
+    let nc = ref 0 in
     for k = 0 to n - 1 do
-      s.(k) <- m.((k * n) + a);
-      s.(col_b' + k) <- m.((k * n) + b');
-      s.(row_b + k) <- m.((b * n) + k);
-      s.(row_a' + k) <- m.((a' * n) + k)
-    done;
-    let w_bb' = s.(row_b + b') and w_a'a = s.(row_a' + a) in
-    for i = 0 to n - 1 do
-      let ia = s.(i) and ib' = s.(col_b' + i) in
-      if ia < inf || ib' < inf then begin
-        (* i -> a -> b *)
-        let via_ab = ia +! c in
-        (* i -> bar b -> bar a (the mirror orientation) *)
-        let via_b'a' = ib' +! c in
-        (* i -> a -> b ->* bar b -> bar a (edge used twice) *)
-        let via_ab_a' = via_ab +! w_bb' +! c in
-        (* i -> bar b -> bar a ->* a -> b *)
-        let via_b'a'_b = via_b'a' +! w_a'a +! c in
-        let row = i * n in
-        for j = 0 to n - 1 do
-          let to_b = s.(row_b + j) and to_a' = s.(row_a' + j) in
-          let best =
-            imin
-              (imin (via_ab +! to_b) (via_b'a' +! to_a'))
-              (imin (via_ab_a' +! to_a') (via_b'a'_b +! to_b))
-          in
-          if best < m.(row + j) then m.(row + j) <- best
-        done
+      let to_b = get m b k and to_a' = get m a' k in
+      s.(k) <- to_b;
+      s.(row_a' + k) <- to_a';
+      if to_b < inf || to_a' < inf then begin
+        s.(cols + !nc) <- k;
+        incr nc
       end
     done;
-    strengthen m n
+    let nc = !nc in
+    let w_bb' = s.(b') and w_a'a = s.(row_a' + a) in
+    for x = 0 to nc - 1 do
+      let i' = s.(cols + x) in
+      let i = bar i' in
+      let ia = s.(row_a' + i') and ib' = s.(i') in
+      (* i -> a -> b *)
+      let via_ab = ia +! c in
+      (* i -> bar b -> bar a (the mirror orientation) *)
+      let via_b'a' = ib' +! c in
+      (* i -> a -> b ->* bar b -> bar a (edge used twice) *)
+      let via_ab_a' = via_ab +! w_bb' +! c in
+      (* i -> bar b -> bar a ->* a -> b *)
+      let via_b'a'_b = via_b'a' +! w_a'a +! c in
+      let r = row i and lim = i lor 1 in
+      let y = ref 0 in
+      while !y < nc && s.(cols + !y) <= lim do
+        let j = s.(cols + !y) in
+        let to_b = s.(j) and to_a' = s.(row_a' + j) in
+        let best =
+          imin
+            (imin (via_ab +! to_b) (via_b'a' +! to_a'))
+            (imin (via_ab_a' +! to_a') (via_b'a'_b +! to_b))
+        in
+        if best < m.(r + j) then m.(r + j) <- best;
+        incr y
+      done
+    done;
+    strengthen m n s (3 * n)
   end
 
 (* Bounds of x_v as (lo option, hi option); None = unconstrained on that
    side. *)
-let var_bounds_cells m n v =
+let var_bounds_cells m v =
   let p = 2 * v and q = (2 * v) + 1 in
-  let hi = m.((q * n) + p) and lo = m.((p * n) + q) in
+  let hi = m.(row q + p) and lo = m.(row p + q) in
   ( (if lo = inf then None else Some (-(floor_even lo / 2))),
     if hi = inf then None else Some (floor_even hi / 2) )
 
 (* Bounds of x_u - x_v: (lo option, hi option). *)
-let diff_bounds_cells m n ~u ~v =
-  let ub = m.((2 * v * n) + (2 * u)) and nlb = m.((2 * u * n) + (2 * v)) in
+let diff_bounds_cells m ~u ~v =
+  let ub = get m (2 * v) (2 * u) and nlb = get m (2 * u) (2 * v) in
   ( (if nlb = inf then None else Some (-nlb)),
     if ub = inf then None else Some ub )
 
@@ -215,7 +256,7 @@ module Buf = struct
   let normalize b = if not (consistent b.cells (size b)) then b.bot <- true
 
   let scratch b =
-    if Array.length b.scratch = 0 then b.scratch <- Array.make (4 * size b) 0;
+    if Array.length b.scratch = 0 then b.scratch <- Array.make (5 * size b) 0;
     b.scratch
 
   (* Add the DBM edge (i,j) <= c with incremental closure; bottom passes
@@ -242,17 +283,23 @@ module Buf = struct
   let add_lb b v c = add_edge b (2 * v) ((2 * v) + 1) (floor_even (-2 * c))
 
   (* Drop every constraint mentioning [v]. On a closed matrix the result is
-     closed (removing a variable cannot invalidate closure elsewhere). *)
+     closed (removing a variable cannot invalidate closure elsewhere). The
+     stored cells of vertices p and q are their two rows up to q and their
+     two columns below q. *)
   let forget b v =
     live b;
     if not b.bot then begin
       let m = b.cells and n = size b in
       let p = 2 * v and q = (2 * v) + 1 in
-      for i = 0 to n - 1 do
-        m.((i * n) + p) <- (if i = p then 0 else inf);
-        m.((i * n) + q) <- (if i = q then 0 else inf);
-        m.((p * n) + i) <- (if i = p then 0 else inf);
-        m.((q * n) + i) <- (if i = q then 0 else inf)
+      let rp = row p and rq = row q in
+      for j = 0 to q do
+        m.(rp + j) <- (if j = p then 0 else inf);
+        m.(rq + j) <- (if j = q then 0 else inf)
+      done;
+      for i = q + 1 to n - 1 do
+        let r = row i in
+        m.(r + p) <- inf;
+        m.(r + q) <- inf
       done
     end
 
@@ -263,18 +310,20 @@ module Buf = struct
     if not b.bot then begin
       let m = b.cells and n = size b in
       let p = 2 * v and q = (2 * v) + 1 in
-      for i = 0 to n - 1 do
-        if i <> p && i <> q then begin
-          (* V_p grows by c: bounds on V_p - V_i grow, on V_i - V_p shrink. *)
-          m.((i * n) + p) <- m.((i * n) + p) +! c;
-          m.((p * n) + i) <- m.((p * n) + i) +! -c;
-          (* V_q = -x_v shrinks by c. *)
-          m.((i * n) + q) <- m.((i * n) + q) +! -c;
-          m.((q * n) + i) <- m.((q * n) + i) +! c
-        end
+      let rp = row p and rq = row q in
+      (* V_p grows by c: bounds on V_p - V_i grow (column p), on V_i - V_p
+         shrink (row p); V_q = -x_v shrinks by c, the other way round. *)
+      for j = 0 to p - 1 do
+        m.(rp + j) <- m.(rp + j) +! -c;
+        m.(rq + j) <- m.(rq + j) +! c
       done;
-      m.((q * n) + p) <- m.((q * n) + p) +! (2 * c);
-      m.((p * n) + q) <- m.((p * n) + q) +! (-2 * c);
+      for i = q + 1 to n - 1 do
+        let r = row i in
+        m.(r + p) <- m.(r + p) +! c;
+        m.(r + q) <- m.(r + q) +! -c
+      done;
+      m.(rq + p) <- m.(rq + p) +! (2 * c);
+      m.(rp + q) <- m.(rp + q) +! (-2 * c);
       normalize b
     end
 
@@ -292,10 +341,8 @@ module Buf = struct
     add_ub b v hi;
     add_lb b v lo
 
-  let var_bounds b v = if b.bot then empty_bounds else var_bounds_cells b.cells (size b) v
-
-  let diff_bounds b ~u ~v =
-    if b.bot then empty_bounds else diff_bounds_cells b.cells (size b) ~u ~v
+  let var_bounds b v = if b.bot then empty_bounds else var_bounds_cells b.cells v
+  let diff_bounds b ~u ~v = if b.bot then empty_bounds else diff_bounds_cells b.cells ~u ~v
 end
 
 (* ---- persistent wrappers -------------------------------------------- *)
@@ -314,11 +361,10 @@ let assign_interval t v range = persist t (fun b -> Buf.assign_interval b v rang
 
 (* ---- queries --------------------------------------------------------- *)
 
-let var_bounds t v =
-  match t.m with None -> empty_bounds | Some m -> var_bounds_cells m (2 * t.dim) v
+let var_bounds t v = match t.m with None -> empty_bounds | Some m -> var_bounds_cells m v
 
 let diff_bounds t ~u ~v =
-  match t.m with None -> empty_bounds | Some m -> diff_bounds_cells m (2 * t.dim) ~u ~v
+  match t.m with None -> empty_bounds | Some m -> diff_bounds_cells m ~u ~v
 
 (* ---- lattice --------------------------------------------------------- *)
 
@@ -405,7 +451,6 @@ let pp ppf t =
   match t.m with
   | None -> Format.fprintf ppf "bottom"
   | Some m ->
-    let n = 2 * t.dim in
     let printed = ref 0 in
     Format.fprintf ppf "@[<v>";
     for v = 0 to t.dim - 1 do
@@ -419,7 +464,7 @@ let pp ppf t =
     for u = 0 to t.dim - 1 do
       for v = 0 to t.dim - 1 do
         if u <> v then begin
-          let c = m.((2 * v * n) + (2 * u)) in
+          let c = get m (2 * v) (2 * u) in
           if c < inf then begin
             Format.fprintf ppf "x%d - x%d <= %d@," u v c;
             incr printed
@@ -430,26 +475,33 @@ let pp ppf t =
     if !printed = 0 then Format.fprintf ppf "top";
     Format.fprintf ppf "@]"
 
-(* Full strong closure (Floyd-Warshall + strengthening), exposed for the
-   property tests; the incremental operations above keep matrices closed
-   in normal operation. *)
+(* Full strong closure, exposed for the property tests; the incremental
+   operations above keep matrices closed in normal operation. Shortest
+   paths in Mine's pairwise form: for each vertex pair (p, q) a cell may
+   route through p, through q, or through both in either order, so one
+   pass over the stored half per pair reaches the same shortest-path
+   matrix as Floyd-Warshall over the full one (or a negative diagonal when
+   a negative cycle exists). Then strengthening. *)
 let close t =
   match t.m with
   | None -> t
   | Some m ->
     let m = Array.copy m and n = 2 * t.dim in
-    for k = 0 to n - 1 do
-      let row_k = k * n in
+    for v = 0 to t.dim - 1 do
+      let p = 2 * v and q = (2 * v) + 1 in
+      let w_pq = get m p q and w_qp = get m q p in
       for i = 0 to n - 1 do
-        let ik = m.((i * n) + k) in
-        if ik < inf then begin
-          let row = i * n in
-          for j = 0 to n - 1 do
-            let via = ik +! m.(row_k + j) in
-            if via < m.(row + j) then m.(row + j) <- via
+        (* best i -> p and i -> q, each possibly via the other *)
+        let ip = get m i p and iq = get m i q in
+        let to_p = imin ip (iq +! w_qp) and to_q = imin iq (ip +! w_pq) in
+        if to_p < inf || to_q < inf then begin
+          let r = row i in
+          for j = 0 to i lor 1 do
+            let via = imin (to_p +! get m p j) (to_q +! get m q j) in
+            if via < m.(r + j) then m.(r + j) <- via
           done
         end
       done
     done;
-    strengthen m n;
+    strengthen m n (Array.make (2 * n) 0) 0;
     { t with m = (if consistent m n then Some m else None) }

@@ -11,8 +11,10 @@
     every stored constraint is individually true, so reading a partially
     closed matrix merely loses precision, never soundness.
 
-    The [2·dim] square matrix is stored row-major in one [int array], cell
-    [(i,j)] at index [i*2·dim + j]. *)
+    The matrix over [2·dim] vertices is coherent ([(i,j) = (bar j, bar i)]),
+    so one [int array] stores only Mine's half: cell [(i,j)] when
+    [j <= i lor 1], at index [j + (i+1)*(i+1)/2], [2·dim·(dim+1)] cells in
+    all. *)
 
 type t
 

@@ -1,5 +1,7 @@
 (* Octagon domain: DBM lattice laws, in-place transfers against their
-   persistent wrappers (results, aliasing, allocation), soundness of the
+   persistent wrappers (results, aliasing, allocation), the half-matrix
+   library against the full-matrix oracle [Octagon_full], the inertness of
+   untouched (top) variables behind register compaction, soundness of the
    escalation against the interval baseline (refined states below the
    interval states on random programs), widening termination, the
    end-to-end discharge fixtures (A0505 input-dependent != exits, A0509
@@ -154,23 +156,89 @@ let random_op rng dim =
     Interval (var (), lo, lo + Pcg.next_int rng 40)
   | _ -> Shift (var (), const ())
 
-let apply_persistent t = function
-  | Forget v -> Octagon.forget t v
-  | Diff (u, v, c) -> Octagon.add_diff t ~u ~v c
-  | Ub (v, c) -> Octagon.add_ub t v c
-  | Lb (v, c) -> Octagon.add_lb t v c
-  | Plus (dst, src, c) -> Octagon.assign_var_plus t ~dst ~src c
-  | Interval (v, lo, hi) -> Octagon.assign_interval t v (lo, hi)
-  | Shift (v, c) -> Octagon.assign_var_plus t ~dst:v ~src:v c
+(* A step of a random octagon history: a thawed block of in-place ops, one
+   persistent op, a lattice operation with a second state built from its own
+   ops, or a full closure. *)
+type step =
+  | In_place of op list
+  | Persistent of op
+  | Join of op list
+  | Meet of op list
+  | Widen of op list
+  | Close
 
-let apply_in_place b = function
-  | Forget v -> Octagon.Buf.forget b v
-  | Diff (u, v, c) -> Octagon.Buf.add_diff b ~u ~v c
-  | Ub (v, c) -> Octagon.Buf.add_ub b v c
-  | Lb (v, c) -> Octagon.Buf.add_lb b v c
-  | Plus (dst, src, c) -> Octagon.Buf.assign_var_plus b ~dst ~src c
-  | Interval (v, lo, hi) -> Octagon.Buf.assign_interval b v (lo, hi)
-  | Shift (v, c) -> Octagon.Buf.assign_var_plus b ~dst:v ~src:v c
+let thresholds = [| 4; 8; 16; 64; 100; 255 |]
+
+(* What the generators drive: the library and the full-matrix oracle
+   [Octagon_full] both provide it. *)
+module type OCTAGON = sig
+  type t
+  type buf
+
+  val top : ?thresholds:int array -> int -> t
+  val dim : t -> int
+  val thaw : t -> buf
+  val freeze : buf -> t
+
+  module Buf : sig
+    val add_diff : buf -> u:int -> v:int -> int -> unit
+    val add_ub : buf -> int -> int -> unit
+    val add_lb : buf -> int -> int -> unit
+    val forget : buf -> int -> unit
+    val assign_var_plus : buf -> dst:int -> src:int -> int -> unit
+    val assign_interval : buf -> int -> int * int -> unit
+  end
+
+  val add_diff : t -> u:int -> v:int -> int -> t
+  val add_ub : t -> int -> int -> t
+  val add_lb : t -> int -> int -> t
+  val forget : t -> int -> t
+  val assign_var_plus : t -> dst:int -> src:int -> int -> t
+  val assign_interval : t -> int -> int * int -> t
+  val join : t -> t -> t
+  val meet : t -> t -> t
+  val widen : t -> t -> t
+  val close : t -> t
+end
+
+module Steps (O : OCTAGON) = struct
+  let apply_persistent t = function
+    | Forget v -> O.forget t v
+    | Diff (u, v, c) -> O.add_diff t ~u ~v c
+    | Ub (v, c) -> O.add_ub t v c
+    | Lb (v, c) -> O.add_lb t v c
+    | Plus (dst, src, c) -> O.assign_var_plus t ~dst ~src c
+    | Interval (v, lo, hi) -> O.assign_interval t v (lo, hi)
+    | Shift (v, c) -> O.assign_var_plus t ~dst:v ~src:v c
+
+  let apply_in_place b = function
+    | Forget v -> O.Buf.forget b v
+    | Diff (u, v, c) -> O.Buf.add_diff b ~u ~v c
+    | Ub (v, c) -> O.Buf.add_ub b v c
+    | Lb (v, c) -> O.Buf.add_lb b v c
+    | Plus (dst, src, c) -> O.Buf.assign_var_plus b ~dst ~src c
+    | Interval (v, lo, hi) -> O.Buf.assign_interval b v (lo, hi)
+    | Shift (v, c) -> O.Buf.assign_var_plus b ~dst:v ~src:v c
+
+  let run_step t = function
+    | In_place ops ->
+      let b = O.thaw t in
+      List.iter (apply_in_place b) ops;
+      O.freeze b
+    | Persistent op -> apply_persistent t op
+    | Join ops -> O.join t (List.fold_left apply_persistent t ops)
+    | Meet ops -> O.meet t (List.fold_left apply_persistent (O.top ~thresholds (O.dim t)) ops)
+    | Widen ops -> O.widen t (List.fold_left apply_persistent t ops)
+    | Close -> O.close t
+end
+
+module Lib_steps = Steps (Octagon)
+module Full = Octagon_full
+module Full_steps = Steps (Full)
+
+let apply_persistent = Lib_steps.apply_persistent
+let apply_in_place = Lib_steps.apply_in_place
+let run_step = Lib_steps.run_step
 
 (* One thaw, a random op sequence in place, one freeze must equal the same
    sequence through the persistent wrappers (a thaw and freeze per op), and
@@ -202,6 +270,106 @@ let test_in_place_matches_persistent () =
         Octagon.Buf.forget b 0)
   done
 
+(* ---- the full-matrix oracle ------------------------------------------ *)
+
+let random_step rng dim =
+  let ops () = List.init (1 + Pcg.next_int rng 4) (fun _ -> random_op rng dim) in
+  match Pcg.next_int rng 12 with
+  | 0 | 1 | 2 | 3 -> In_place (ops ())
+  | 4 | 5 | 6 -> Persistent (random_op rng dim)
+  | 7 | 8 -> Join (ops ())
+  | 9 -> Meet (ops ())
+  | 10 -> Widen (ops ())
+  | _ -> Close
+
+let map_op f = function
+  | Forget v -> Forget (f v)
+  | Diff (u, v, c) -> Diff (f u, f v, c)
+  | Ub (v, c) -> Ub (f v, c)
+  | Lb (v, c) -> Lb (f v, c)
+  | Plus (dst, src, c) -> Plus (f dst, f src, c)
+  | Interval (v, lo, hi) -> Interval (f v, lo, hi)
+  | Shift (v, c) -> Shift (f v, c)
+
+let map_step f = function
+  | In_place ops -> In_place (List.map (map_op f) ops)
+  | Persistent op -> Persistent (map_op f op)
+  | Join ops -> Join (List.map (map_op f) ops)
+  | Meet ops -> Meet (List.map (map_op f) ops)
+  | Widen ops -> Widen (List.map (map_op f) ops)
+  | Close -> Close
+
+let bounds = Alcotest.(pair (option int) (option int))
+
+(* Every unary and binary bound the two states expose, on the variables
+   listed: [vars_a.(k)] in [a] against [vars_b.(k)] in [b]. *)
+let check_same_bounds what ~var_a ~diff_a ~var_b ~diff_b vars_a vars_b =
+  Array.iteri
+    (fun k u ->
+      let u' = vars_b.(k) in
+      Alcotest.check bounds (Printf.sprintf "%s: x%d" what u) (var_a u) (var_b u');
+      Array.iteri
+        (fun l v ->
+          if u <> v then
+            Alcotest.check bounds
+              (Printf.sprintf "%s: x%d - x%d" what u v)
+              (diff_a ~u ~v)
+              (diff_b ~u:u' ~v:vars_b.(l)))
+        vars_a)
+    vars_a
+
+(* Seeded histories through the half-matrix library and the full-matrix
+   oracle: after every step the two expose the same bounds, the same
+   emptiness, and the same [leq]/[equal] verdicts against the previous
+   state. *)
+let test_matches_full_matrix_oracle () =
+  let rng = Pcg.create ~seed:1311L () in
+  for dim = 1 to 24 do
+    for _ = 1 to 8 do
+      let vars = Array.init dim Fun.id in
+      let t = ref (Octagon.top ~thresholds dim) and r = ref (Full.top ~thresholds dim) in
+      for k = 1 to 12 do
+        let step = random_step rng dim in
+        let t' = run_step !t step and r' = Full_steps.run_step !r step in
+        let what = Printf.sprintf "dim %d step %d" dim k in
+        Alcotest.(check bool) (what ^ ": is_bot") (Full.is_bot r') (Octagon.is_bot t');
+        Alcotest.(check bool) (what ^ ": leq") (Full.leq !r r') (Octagon.leq !t t');
+        Alcotest.(check bool) (what ^ ": leq back") (Full.leq r' !r) (Octagon.leq t' !t);
+        Alcotest.(check bool) (what ^ ": equal") (Full.equal !r r') (Octagon.equal !t t');
+        check_same_bounds what ~var_a:(Full.var_bounds r') ~diff_a:(Full.diff_bounds r')
+          ~var_b:(Octagon.var_bounds t') ~diff_b:(Octagon.diff_bounds t') vars vars;
+        t := t';
+        r := r'
+      done
+    done
+  done
+
+(* The lemma behind tracking only the registers a program names: a
+   variable no operation touches stays top and changes no other bound. The
+   same random history over a subset S of a dim-D octagon's variables, and
+   over a dim-|S| octagon with the indices remapped, gives equal bounds on
+   S. *)
+let test_top_variables_are_inert () =
+  let rng = Pcg.create ~seed:1312L () in
+  for _ = 1 to 120 do
+    let big = 2 + Pcg.next_int rng 19 in
+    let members = Array.init big (fun _ -> Pcg.next_int rng 2 = 0) in
+    members.(Pcg.next_int rng big) <- true;
+    let subset = Array.of_list (List.filter (fun v -> members.(v)) (List.init big Fun.id)) in
+    let small = Array.length subset in
+    let small_vars = Array.init small Fun.id in
+    let t = ref (Octagon.top ~thresholds big) and s = ref (Octagon.top ~thresholds small) in
+    for k = 1 to 12 do
+      let step = random_step rng small in
+      t := run_step !t (map_step (fun v -> subset.(v)) step);
+      s := run_step !s step;
+      let what = Printf.sprintf "dim %d over %d: step %d" big small k in
+      Alcotest.(check bool) (what ^ ": is_bot") (Octagon.is_bot !s) (Octagon.is_bot !t);
+      check_same_bounds what ~var_a:(Octagon.var_bounds !s) ~diff_a:(Octagon.diff_bounds !s)
+        ~var_b:(Octagon.var_bounds !t) ~diff_b:(Octagon.diff_bounds !t) small_vars subset
+    done
+  done
+
 (* Words allocated by the calling domain, on both heaps: a matrix copy is
    larger than the minor heap's object limit and goes straight to the
    major heap, so [Gc.minor_words] alone would not see it. Major words
@@ -211,8 +379,8 @@ let allocated_words () =
   Gc.minor_words () +. major -. promoted
 
 (* Ten in-place constraint additions on a closed dim-32 octagon allocate
-   O(n) words each (the closure snapshots, once per buf), far below one
-   n^2 = 4096-word matrix copy. *)
+   O(n) words each (the closure scratch, once per buf), far below one
+   n(n+2)/2 = 2112-word matrix copy. *)
 let test_in_place_allocation () =
   let dim = 32 in
   let n = 2 * dim in
@@ -245,10 +413,10 @@ let leq_opt a b =
   | Some _, None -> false
   | Some a, Some b -> State.leq a b
 
-(* Whole-corpus containment: for every scenario, escalating every function
-   must produce per-node states below the interval result, and loop bound
-   verdicts that are never worse. *)
-let test_escalation_below_interval () =
+(* Every corpus scenario (both variants) whose supergraph builds without
+   further annotations, escalated on every function: [f entry graph loops
+   base esc]. Non-convergence is allowed (the base result is kept). *)
+let iter_corpus_escalations f =
   List.iter
     (fun (e : Corpus.entry) ->
       List.iter
@@ -279,35 +447,74 @@ let test_escalation_below_interval () =
               |> List.map (fun (n : Supergraph.node) -> n.Supergraph.func))
           in
           match Analysis.escalate ~assumes ~funcs base loops with
-          | exception Failure _ -> ()  (* non-convergence: allowed, base kept *)
-          | esc ->
-            let r = esc.Analysis.esc_result in
-            Array.iteri
-              (fun i _ ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s: refined in-state below interval at node %d" e.Corpus.id i)
-                  true
-                  (leq_opt r.Analysis.node_in.(i) base.Analysis.node_in.(i));
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s: refined out-state below interval at node %d" e.Corpus.id i)
-                  true
-                  (leq_opt r.Analysis.node_out.(i) base.Analysis.node_out.(i)))
-              graph.Supergraph.nodes;
-            let bb = Loop_bounds.analyze base loops in
-            let rb = Loop_bounds.analyze ~rel:esc.Analysis.esc_rel r loops in
-            Array.iteri
-              (fun li bv ->
-                match (bv, rb.Loop_bounds.per_loop.(li)) with
-                | Loop_bounds.Bounded b, Loop_bounds.Bounded r ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s: loop %d relational bound not worse" e.Corpus.id li)
-                    true (r <= b)
-                | Loop_bounds.Bounded _, Loop_bounds.Unbounded _ ->
-                  Alcotest.failf "%s: loop %d lost its bound under the octagon" e.Corpus.id li
-                | Loop_bounds.Unbounded _, _ -> ())
-              bb.Loop_bounds.per_loop)
+          | exception Failure _ -> ()
+          | esc -> f e graph loops base esc)
         [ e.Corpus.conforming; e.Corpus.violating ])
     Corpus.all
+
+(* Whole-corpus containment: for every scenario, escalating every function
+   must produce per-node states below the interval result, and loop bound
+   verdicts that are never worse. *)
+let test_escalation_below_interval () =
+  iter_corpus_escalations (fun e graph loops base esc ->
+      let r = esc.Analysis.esc_result in
+      Array.iteri
+        (fun i _ ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: refined in-state below interval at node %d" e.Corpus.id i)
+            true
+            (leq_opt r.Analysis.node_in.(i) base.Analysis.node_in.(i));
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: refined out-state below interval at node %d" e.Corpus.id i)
+            true
+            (leq_opt r.Analysis.node_out.(i) base.Analysis.node_out.(i)))
+        graph.Supergraph.nodes;
+      let bb = Loop_bounds.analyze base loops in
+      let rb = Loop_bounds.analyze ~rel:esc.Analysis.esc_rel r loops in
+      Array.iteri
+        (fun li bv ->
+          match (bv, rb.Loop_bounds.per_loop.(li)) with
+          | Loop_bounds.Bounded b, Loop_bounds.Bounded r ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: loop %d relational bound not worse" e.Corpus.id li)
+              true (r <= b)
+          | Loop_bounds.Bounded _, Loop_bounds.Unbounded _ ->
+            Alcotest.failf "%s: loop %d lost its bound under the octagon" e.Corpus.id li
+          | Loop_bounds.Unbounded _, _ -> ())
+        bb.Loop_bounds.per_loop)
+
+(* The escalation tracks r0 and exactly the registers some instruction or
+   branch of the supergraph names, then the slots: its dimension is
+   nr + slots, and the corpus has programs that leave registers out. *)
+let test_escalation_tracks_named_registers () =
+  let compacted = ref 0 in
+  iter_corpus_escalations (fun e graph _ _ esc ->
+      let named = Array.make 16 false in
+      let name r = named.(Pred32_isa.Reg.to_int r) <- true in
+      name Pred32_isa.Reg.zero;
+      Array.iter
+        (fun (nd : Supergraph.node) ->
+          let block = nd.Supergraph.block in
+          Array.iter
+            (fun (_, insn) ->
+              List.iter name (Pred32_isa.Insn.uses insn @ Pred32_isa.Insn.defs insn))
+            block.Wcet_cfg.Func_cfg.insns;
+          match block.Wcet_cfg.Func_cfg.term with
+          | Wcet_cfg.Func_cfg.Term_branch { rs1; rs2; _ } -> name rs1; name rs2
+          | _ -> ())
+        graph.Supergraph.nodes;
+      let expected = List.filter (fun r -> named.(Pred32_isa.Reg.to_int r)) Pred32_isa.Reg.all in
+      let nr = List.length esc.Analysis.esc_regs in
+      Alcotest.(check (list string))
+        (e.Corpus.id ^ ": tracked registers")
+        (List.map Pred32_isa.Reg.name expected)
+        (List.map Pred32_isa.Reg.name esc.Analysis.esc_regs);
+      Alcotest.(check int)
+        (e.Corpus.id ^ ": dim = nr + slots")
+        (nr + List.length esc.Analysis.esc_slots)
+        esc.Analysis.esc_dim;
+      if nr < 16 then incr compacted);
+  Alcotest.(check bool) "some escalation tracks fewer than 16 registers" true (!compacted > 0)
 
 (* ---- end-to-end discharge fixtures ---------------------------------- *)
 
@@ -506,10 +713,14 @@ let () =
           Alcotest.test_case "widening termination" `Quick test_widening_termination;
           Alcotest.test_case "in-place matches persistent" `Quick test_in_place_matches_persistent;
           Alcotest.test_case "in-place allocation" `Quick test_in_place_allocation;
+          Alcotest.test_case "matches full-matrix oracle" `Quick test_matches_full_matrix_oracle;
+          Alcotest.test_case "top variables are inert" `Quick test_top_variables_are_inert;
         ] );
       ( "escalation",
         [
           Alcotest.test_case "below interval on corpus" `Quick test_escalation_below_interval;
+          Alcotest.test_case "tracks named registers" `Quick
+            test_escalation_tracks_named_registers;
           Alcotest.test_case "A0505 discharged" `Quick test_a0505_discharged;
           Alcotest.test_case "A0509 discharged" `Quick test_a0509_discharged;
           Alcotest.test_case "escalated bound sound" `Quick test_escalated_bound_sound;

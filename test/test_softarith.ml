@@ -70,6 +70,27 @@ let test_iterations_agrees_with_udivmod () =
         (Ldivmod.udivmod a b).Ldivmod.iterations (Ldivmod.iterations a b))
     [ (42, 0); (0, 1); (0xFFFFFFFF, 0x10000); (0xFFFFFFFF, 0x10001); (0xFFFFFFFF, 0xFFFF) ]
 
+(* The histogram calls [iterations] once per sample, so it must not
+   allocate. The inputs are drawn first; the measured loop only calls it.
+   The empty measurement subtracts what reading the counter costs. *)
+let test_iterations_allocation_free () =
+  let rng = Pcg.create ~seed:37L () in
+  let n = 10_000 in
+  let a = Array.init n (fun _ -> Pcg.next_uint32_int rng) in
+  let b = Array.init n (fun i -> if i land 1 = 0 then Pcg.next_uint32_int rng else 0x10000 + i) in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  let total = ref 0 in
+  for i = 0 to n - 1 do
+    total := !total + Ldivmod.iterations a.(i) b.(i)
+  done;
+  let w2 = Gc.minor_words () in
+  let words = w2 -. w1 -. (w1 -. w0) in
+  Alcotest.(check bool) "some slow-path divisions" true (!total > n / 2);
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "minor words over %d calls (%.1f per call)" n (words /. float_of_int n))
+    0. words
+
 let test_iterations_shape () =
   (* The Table 1 phenomenon on a modest sample: almost all inputs take 1
      iteration, small divisors take 0, a tail exists. *)
@@ -272,6 +293,7 @@ let () =
           Alcotest.test_case "restoring baseline" `Quick test_restoring_fixed_iterations;
           Alcotest.test_case "annotation bound 40 is safe" `Quick test_iteration_bound_40;
           Alcotest.test_case "histogram deterministic" `Quick test_histogram_deterministic;
+          Alcotest.test_case "iterations allocation-free" `Quick test_iterations_allocation_free;
         ] );
       ( "cross-validation",
         [
