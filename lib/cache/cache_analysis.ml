@@ -69,9 +69,10 @@ module Cstate = struct
       | None, None -> true
       | Some _, None | None, Some _ -> assert false
     in
-    le a.ic b.ic && le a.dc b.dc
+    a == b || (le a.ic b.ic && le a.dc b.dc)
 
-  let join a b = { ic = map2 Acache.join a.ic b.ic; dc = map2 Acache.join a.dc b.dc }
+  let join a b =
+    if a == b then a else { ic = map2 Acache.join a.ic b.ic; dc = map2 Acache.join a.dc b.dc }
   let widen = join
 end
 
@@ -125,6 +126,21 @@ type access_info = {
   update : Acache.t option -> Acache.t option;
 }
 
+let classify c line =
+  if Acache.must_contains c line then Always_hit
+  else if Acache.may_excludes c line then Always_miss
+  else Not_classified
+
+(* The state after an access to [line], or [st] itself (no new option)
+   when the access changes nothing: the transfer then keeps its state
+   record, and later joins and comparisons skip the shared cache. *)
+let access_opt st line =
+  match st with
+  | None -> st
+  | Some c ->
+    let c' = Acache.access c line in
+    if c' == c then st else Some c'
+
 (* Analyze one data access against the current data-cache state. *)
 let data_access_info (cfg : Hw_config.t) hint av ~is_store dc =
   let regions = candidate_regions cfg.Hw_config.map av hint in
@@ -140,12 +156,7 @@ let data_access_info (cfg : Hw_config.t) hint av ~is_store dc =
       else (
         match candidate_lines dcache_cfg av with
         | Some [ line ] ->
-          let classification =
-            if Acache.must_contains dcache line then Always_hit
-            else if Acache.may_excludes dcache line then Always_miss
-            else Not_classified
-          in
-          { classification; regions; update = Option.map (fun c -> Acache.access c line) }
+          { classification = classify dcache line; regions; update = (fun c -> access_opt c line) }
         | Some lines ->
           (* one of a few lines: join of the possible outcomes *)
           let update =
@@ -159,20 +170,16 @@ let data_access_info (cfg : Hw_config.t) hint av ~is_store dc =
           (* imprecise access: the paper's cache-damage case *)
           { classification = Not_classified; regions; update = Option.map Acache.access_unknown })
 
+(* Classification of an instruction fetch and the I-cache state after it. *)
 let fetch_info (cfg : Hw_config.t) map addr ic =
   match (ic, cfg.Hw_config.icache) with
-  | None, _ | _, None -> (Bypass, Fun.id)
+  | None, _ | _, None -> (Bypass, ic)
   | Some icache, Some icache_cfg -> (
     match Memory_map.find map addr with
     | Some r when r.Region.cacheable ->
       let line = Cache_config.line_of_addr icache_cfg addr in
-      let classification =
-        if Acache.must_contains icache line then Always_hit
-        else if Acache.may_excludes icache line then Always_miss
-        else Not_classified
-      in
-      (classification, Option.map (fun c -> Acache.access c line))
-    | Some _ | None -> (Bypass, Fun.id))
+      (classify icache line, access_opt ic line)
+    | Some _ | None -> (Bypass, ic))
 
 (* Per-node summary rows for the component-scheduled cache analysis (the
    access-set transformer analogue of Wcet_value.Summary): recorded external
@@ -224,11 +231,11 @@ let make_transfer (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
     let st = ref st in
     Array.iteri
       (fun idx (addr, insn) ->
-        let fetch_class, ic_update = fetch_info cfg cfg.Hw_config.map addr !st.Cstate.ic in
+        let fetch_class, ic = fetch_info cfg cfg.Hw_config.map addr !st.Cstate.ic in
         (match record with
         | Some (fetch_rec, _) -> fetch_rec.(idx) <- fetch_class
         | None -> ());
-        st := { !st with Cstate.ic = ic_update !st.Cstate.ic };
+        if ic != !st.Cstate.ic then st := { !st with Cstate.ic = ic };
         match insn with
         | Insn.Load _ | Insn.Store _ -> (
           let is_store = Insn.writes_memory insn in
@@ -245,7 +252,8 @@ let make_transfer (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
                 { insn_index = idx; is_store; kind = info.classification; regions = info.regions }
                 :: !data_rec
             | None -> ());
-            st := { !st with Cstate.dc = info.update !st.Cstate.dc })
+            let dc = info.update !st.Cstate.dc in
+            if dc != !st.Cstate.dc then st := { !st with Cstate.dc = dc })
         | _ -> ())
       node.Supergraph.block.Func_cfg.insns;
     !st

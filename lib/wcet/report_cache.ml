@@ -49,7 +49,7 @@ module Diag = Wcet_diag.Diag
 module Metrics = Wcet_obs.Metrics
 
 (* Bump when the marshaled payload layout changes (report or slice types). *)
-let format_version = "3"
+let format_version = "4"
 
 let m_hits gran =
   Metrics.counter ~labels:[ ("granularity", gran) ] ~name:"cache_store_hits"
@@ -149,13 +149,15 @@ let digest_parts parts = Digest.to_hex (Digest.string (String.concat "\x00" part
 let marshal v = Marshal.to_string v []
 
 (* Everything of the program the analyses can observe: entry/layout/symbol
-   tables plus the canonical image dump (region name + backing bytes,
-   sorted — independent of hashtable iteration order). *)
+   tables plus the canonical image dump (region name, page offset and bytes
+   of every nonzero page, sorted — independent of write order). *)
 let program_parts (p : Program.t) =
   marshal (p.Program.entry, p.Program.text_base, p.Program.text_limit, p.Program.functions,
            p.Program.symbols)
   :: marshal (Memory_map.regions p.Program.map)
-  :: List.concat_map (fun (name, bytes) -> [ name; bytes ]) (Image.contents p.Program.image)
+  :: List.concat_map
+       (fun (name, off, bytes) -> [ name; string_of_int off; bytes ])
+       (Image.contents p.Program.image)
 
 (* [engine] is the analyzer engine name ("summary" / "whole-program"):
    the engines agree on bounds for every corpus program we test, but the
@@ -234,27 +236,25 @@ let rom_data_digest (p : Program.t) =
   let text_lo = p.Program.text_base and text_hi = p.Program.text_limit in
   let parts =
     List.concat_map
-      (fun (r : Region.t) ->
-        match r.Region.kind with
-        | Region.Rom ->
-          let bytes =
-            match List.assoc_opt r.Region.name (Image.contents p.Program.image) with
-            | Some b -> b
-            | None -> ""
+      (fun (name, off, page) ->
+        match Memory_map.find_by_name p.Program.map name with
+        | None | Some { Region.kind = Region.Ram | Region.Scratchpad | Region.Io; _ } -> []
+        | Some r ->
+          (* blank out the text window so code edits don't shift this digest;
+             a page left all zeros reads like an untouched one *)
+          let base = r.Region.base + off in
+          let lo = max 0 (text_lo - base) and hi = min (String.length page) (text_hi - base) in
+          let page =
+            if lo < hi then begin
+              let b = Bytes.of_string page in
+              Bytes.fill b lo (hi - lo) '\000';
+              Bytes.unsafe_to_string b
+            end
+            else page
           in
-          (* blank out the text window so code edits don't shift this digest *)
-          let lo = max 0 (text_lo - r.Region.base) in
-          let hi = min (String.length bytes) (text_hi - r.Region.base) in
-          let bytes =
-            if lo < hi then
-              String.sub bytes 0 lo
-              ^ String.make (hi - lo) '\000'
-              ^ String.sub bytes hi (String.length bytes - hi)
-            else bytes
-          in
-          [ r.Region.name; bytes ]
-        | Region.Ram | Region.Scratchpad | Region.Io -> [])
-      (Memory_map.regions p.Program.map)
+          if String.for_all (fun c -> c = '\000') page then []
+          else [ name; string_of_int off; page ])
+      (Image.contents p.Program.image)
   in
   digest_parts parts
 

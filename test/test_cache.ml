@@ -144,6 +144,88 @@ let test_must_monotone_leq () =
     Alcotest.(check bool) "join idempotent" true (Acache.equal j (Acache.join j j))
   done
 
+(* --- set-local states against the whole-map oracle --- *)
+
+module Ref = Acache_ref
+
+(* One abstract state in both representations, advanced in lockstep. *)
+type twin = { lib : Acache.t; oracle : Ref.t }
+
+let twin_empty cfg = { lib = Acache.empty cfg; oracle = Ref.empty cfg }
+let twin_access t line = { lib = Acache.access t.lib line; oracle = Ref.access t.oracle line }
+let twin_unknown t = { lib = Acache.access_unknown t.lib; oracle = Ref.access_unknown t.oracle }
+let twin_join a b = { lib = Acache.join a.lib b.lib; oracle = Ref.join a.oracle b.oracle }
+
+(* Every observation the analysis makes of a state: both classifications
+   of every line in range, the printed state, and leq both ways and
+   equality against another state. *)
+let check_twins what ~lines t other =
+  for line = 0 to lines - 1 do
+    if Acache.must_contains t.lib line <> Ref.must_contains t.oracle line then
+      Alcotest.failf "%s: must_contains %d differs" what line;
+    if Acache.may_excludes t.lib line <> Ref.may_excludes t.oracle line then
+      Alcotest.failf "%s: may_excludes %d differs" what line
+  done;
+  Alcotest.(check string)
+    (what ^ ": pp") (Format.asprintf "%a" Ref.pp t.oracle) (Format.asprintf "%a" Acache.pp t.lib);
+  let agree name lib oracle =
+    if lib <> oracle then Alcotest.failf "%s: %s is %b, oracle says %b" what name lib oracle
+  in
+  agree "leq" (Acache.leq t.lib other.lib) (Ref.leq t.oracle other.oracle);
+  agree "geq" (Acache.leq other.lib t.lib) (Ref.leq other.oracle t.oracle);
+  agree "equal" (Acache.equal t.lib other.lib) (Ref.equal t.oracle other.oracle)
+
+(* Seeded traces over 1/4/16 sets x 1/2/4 ways mixing known and unknown
+   accesses with joins, both against independently built states and
+   against earlier states of the same trace (which share most sets). *)
+let test_matches_oracle () =
+  List.iter
+    (fun (sets, assoc) ->
+      let cfg = Cache_config.make ~sets ~assoc ~line_bytes:16 in
+      let lines = 3 * sets * assoc in
+      let rng = Pcg.create ~seed:(Int64.of_int ((100 * sets) + assoc)) () in
+      let trace n =
+        let t = ref (twin_empty cfg) in
+        for _ = 1 to n do
+          t :=
+            if Pcg.next_int rng 10 = 0 then twin_unknown !t
+            else twin_access !t (Pcg.next_int rng lines)
+        done;
+        !t
+      in
+      for k = 1 to 12 do
+        let others = Array.init 3 (fun _ -> trace (Pcg.next_int rng 30)) in
+        let history = ref [ twin_empty cfg ] in
+        let t = ref (twin_empty cfg) in
+        for step = 1 to 60 do
+          let earlier = List.nth !history (Pcg.next_int rng (List.length !history)) in
+          (t :=
+             match Pcg.next_int rng 20 with
+             | 0 -> twin_unknown !t
+             | 1 | 2 -> twin_join !t others.(Pcg.next_int rng 3)
+             | 3 | 4 -> twin_join !t earlier
+             | 5 -> twin_join earlier !t
+             | _ -> twin_access !t (Pcg.next_int rng lines));
+          let what = Printf.sprintf "%d sets x %d ways, trace %d step %d" sets assoc k step in
+          check_twins what ~lines !t earlier;
+          check_twins what ~lines !t others.(step mod 3);
+          history := !t :: !history
+        done
+      done)
+    [ (1, 1); (1, 2); (1, 4); (4, 1); (4, 2); (4, 4); (16, 1); (16, 2); (16, 4) ]
+
+(* Re-fetching the line just fetched — every instruction of a cache line
+   after its first — changes nothing, so it must cost nothing. *)
+let test_youngest_reaccess_allocation () =
+  let cfg = Cache_config.make ~sets:16 ~assoc:2 ~line_bytes:16 in
+  let s = List.fold_left Acache.access (Acache.empty cfg) [ 0; 16; 1; 17; 3; 0 ] in
+  let w0 = Gc.minor_words () in
+  let w1 = Gc.minor_words () in
+  let s' = Acache.access s 0 in
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words" 0. (w2 -. w1 -. (w1 -. w0));
+  Alcotest.(check bool) "state returned unchanged" true (s' == s)
+
 (* --- cache config --- *)
 
 let test_config_lines () =
@@ -170,6 +252,9 @@ let () =
           Alcotest.test_case "join sound" `Quick test_abstract_join_soundness;
           Alcotest.test_case "unknown access sound" `Quick test_unknown_access_soundness;
           Alcotest.test_case "lattice laws" `Quick test_must_monotone_leq;
+          Alcotest.test_case "matches whole-map oracle" `Quick test_matches_oracle;
+          Alcotest.test_case "youngest re-access allocates nothing" `Quick
+            test_youngest_reaccess_allocation;
         ] );
       ("config", [ Alcotest.test_case "geometry" `Quick test_config_lines ]);
     ]

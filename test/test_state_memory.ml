@@ -130,6 +130,103 @@ let test_image_copy_isolated () =
   Alcotest.(check int) "original intact" 42 (Image.read_word image 0x10000000);
   Alcotest.(check int) "copy changed" 7 (Image.read_word copy 0x10000000)
 
+let ps = Image.page_size
+let ram = 0x10000000
+
+let test_image_untouched_reads_zero () =
+  let image = Image.create Memory_map.default in
+  List.iter
+    (fun addr ->
+      Alcotest.(check int) (Printf.sprintf "0x%08x" addr) 0 (Image.read_word image addr))
+    [ 0; 0x3FFFC; ram; ram + 0xFFFFC; 0x20000000; 0xF000FFFC ];
+  Image.write_word image ram 5;
+  Alcotest.(check int) "next page of a touched region" 0 (Image.read_word image (ram + ps));
+  Alcotest.(check (list (pair string int))) "one page dumped" [ ("ram", 0) ]
+    (List.map (fun (name, off, _) -> (name, off)) (Image.contents image))
+
+let test_image_page_boundary () =
+  let image = Image.create Memory_map.default in
+  let last = ram + ps - 4 and first = ram + ps in
+  Image.write_word image last 0xDEADBEEF;
+  Image.write_word image first 0x12345678;
+  Alcotest.(check int) "last word of page 0" 0xDEADBEEF (Image.read_word image last);
+  Alcotest.(check int) "first word of page 1" 0x12345678 (Image.read_word image first);
+  Alcotest.(check int) "neighbour below" 0 (Image.read_word image (last - 4));
+  Alcotest.(check int) "neighbour above" 0 (Image.read_word image (first + 4));
+  Alcotest.(check (list (pair string int))) "two pages" [ ("ram", 0); ("ram", ps) ]
+    (List.map (fun (name, off, _) -> (name, off)) (Image.contents image))
+
+(* A region whose size is not a page multiple: its last page is cut at the
+   region's end, and faults are as before. *)
+let test_image_partial_page () =
+  let size = ps + 12 in
+  let rom =
+    Region.make ~name:"rom" ~kind:Region.Rom ~base:0 ~size ~read_latency:1 ~write_latency:1
+      ~cacheable:true ~writable:false
+  in
+  let data =
+    Region.make ~name:"data" ~kind:Region.Ram ~base:0x1000 ~size ~read_latency:1
+      ~write_latency:1 ~cacheable:true ~writable:true
+  in
+  let image = Image.create (Memory_map.make [ rom; data ]) in
+  let end_ = 0x1000 + size in
+  Image.write_word image (end_ - 4) 9;
+  Alcotest.(check int) "last word" 9 (Image.read_word image (end_ - 4));
+  Alcotest.(check (list (triple string int int))) "cut last page" [ ("data", ps, 12) ]
+    (List.map (fun (name, off, b) -> (name, off, String.length b)) (Image.contents image));
+  Alcotest.check_raises "past the end" (Image.Bus_error end_) (fun () ->
+      ignore (Image.read_word image end_));
+  Alcotest.check_raises "write past the end" (Image.Bus_error end_) (fun () ->
+      Image.write_word image end_ 1);
+  Alcotest.check_raises "unaligned" (Image.Bus_error (end_ - 6)) (fun () ->
+      Image.write_word image (end_ - 6) 1);
+  Alcotest.check_raises "rom write" (Image.Write_to_rom (size - 4)) (fun () ->
+      Image.write_word image (size - 4) 1);
+  Image.load_words image ~base:(size - 8) [| 1; 2 |];
+  Alcotest.(check int) "loader writes rom" 2 (Image.read_word image (size - 4))
+
+let test_image_copy_pages () =
+  let image = Image.create Memory_map.default in
+  Image.write_word image ram 1;
+  let copy = Image.copy image in
+  Image.write_word image ram 2;
+  Image.write_word image (ram + ps) 3;
+  Image.write_word copy (ram + (2 * ps)) 4;
+  Alcotest.(check (list int)) "copy keeps its own pages" [ 1; 0; 4 ]
+    (List.map (Image.read_word copy) [ ram; ram + ps; ram + (2 * ps) ]);
+  Alcotest.(check (list int)) "original keeps its own pages" [ 2; 3; 0 ]
+    (List.map (Image.read_word image) [ ram; ram + ps; ram + (2 * ps) ])
+
+let test_image_contents_canonical () =
+  let writes = [ (ram + ps, 7); (ram, 1); (0x20000000, 2); (ram + 8, 3) ] in
+  let build ws =
+    let image = Image.create Memory_map.default in
+    List.iter (fun (a, v) -> Image.write_word image a v) ws;
+    image
+  in
+  let a = build writes and b = build (List.rev writes) in
+  Alcotest.(check bool) "write order does not matter" true (Image.contents a = Image.contents b);
+  Image.write_word b (ram + (5 * ps)) 0;
+  Alcotest.(check bool) "zero writes do not matter" true (Image.contents a = Image.contents b)
+
+(* Words allocated on both heaps (a 256 KiB backing would go straight to
+   the major heap). Major words include the promoted ones, which
+   [Gc.minor_words] already counted. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let test_image_pays_for_touched () =
+  let code = Array.init 256 (fun i -> i) in
+  let before = allocated_words () in
+  let image = Image.create Memory_map.default in
+  Image.load_words image ~base:0x100 code;
+  let words = allocated_words () -. before in
+  Alcotest.(check int) "loaded" 255 (Image.read_word image (0x100 + (4 * 255)));
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 1 KiB of code, one ROM is 32768" words)
+    true (words < 4096.)
+
 let () =
   Alcotest.run "state_memory"
     [
@@ -149,5 +246,11 @@ let () =
           Alcotest.test_case "overlap rejected" `Quick test_overlap_rejected;
           Alcotest.test_case "image faults" `Quick test_image_faults;
           Alcotest.test_case "image copy isolation" `Quick test_image_copy_isolated;
+          Alcotest.test_case "untouched reads zero" `Quick test_image_untouched_reads_zero;
+          Alcotest.test_case "page boundary" `Quick test_image_page_boundary;
+          Alcotest.test_case "partial last page" `Quick test_image_partial_page;
+          Alcotest.test_case "copy copies pages" `Quick test_image_copy_pages;
+          Alcotest.test_case "contents canonical" `Quick test_image_contents_canonical;
+          Alcotest.test_case "pays for touched pages" `Quick test_image_pays_for_touched;
         ] );
     ]
