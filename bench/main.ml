@@ -12,12 +12,11 @@
    reproduces the paper's full 10^8-sample Table 1; PAR_DOMAINS caps the
    domain pool used for the histogram shards and the corpus fan-out.
 
-   T1 runs first at top level so the histogram shards own the whole pool;
-   the remaining tables are then fanned out across domains (each worker
-   runs its table's corpus entries serially — the pool refuses to nest).
-   Every run also writes machine-readable BENCH_results.json — table
-   wall-clock, histogram throughput, fixpoint transfer counts (RPO vs FIFO
-   worklist) — so the performance trajectory is trackable across PRs. *)
+   The tables run one after another; the histogram shards and each corpus
+   table's entries fan out across the pool. Every run also writes
+   machine-readable BENCH_results.json — table wall-clock, histogram
+   throughput, fixpoint transfer counts — so the performance trajectory is
+   trackable across PRs. *)
 
 module Harness = Wcet_experiments.Harness
 module Parallel = Wcet_util.Parallel
@@ -29,8 +28,7 @@ let timed f =
   let result = f () in
   (result, Clock.now () -. t0)
 
-(* Render a table into a string so tables can be generated concurrently and
-   printed in order. *)
+(* Render a table into a string, so it can be timed apart from printing. *)
 let render table =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
@@ -93,17 +91,6 @@ let cache_comparison () =
       failwith "cache benchmark: warm bound differs from cold bound";
     (cold, warm)
   end
-
-(* Transfer counts of the two worklist strategies on the quickstart program:
-   the observable win of the RPO priority worklist over chaotic FIFO. *)
-let fixpoint_comparison () =
-  let program = Minic.Compile.compile Harness.quickstart_source in
-  let counts strategy =
-    let r = Analyzer.analyze ~strategy program in
-    ( r.Analyzer.value.Wcet_value.Analysis.transfers,
-      r.Analyzer.cache.Wcet_cache.Cache_analysis.transfers )
-  in
-  (counts Wcet_util.Fixpoint.Rpo, counts Wcet_util.Fixpoint.Fifo)
 
 (* Whole-program vs summary engine on the quickstart program, cold (no
    report cache): the component schedule drains nodes in the same global
@@ -296,11 +283,10 @@ let path_portfolio_json e5 =
     ]
 
 let write_json ~path ~domains ~samples ~tables ~samples_per_sec
-    ~rpo:(rpo_value, rpo_cache) ~fifo:(fifo_value, fifo_cache)
     ~store:(store_cold, store_warm)
     ~scc:((wp_value, wp_cache, wp_secs), (sm_value, sm_cache, sm_secs))
     ~incr:(incr_cold, incr_warm) ~e4 ~e5 =
-  let strategy v c =
+  let transfers (v, c) =
     Json.Obj [ ("value", Json.Int v); ("cache", Json.Int c); ("total", Json.Int (v + c)) ]
   in
   let json =
@@ -317,13 +303,6 @@ let write_json ~path ~domains ~samples ~tables ~samples_per_sec
                (fun (name, seconds) ->
                  Json.Obj [ ("name", Json.String name); ("seconds", Json.Float seconds) ])
                tables) );
-        ( "fixpoint_transfers",
-          Json.Obj
-            [
-              ("program", Json.String "quickstart");
-              ("rpo", strategy rpo_value rpo_cache);
-              ("fifo", strategy fifo_value fifo_cache);
-            ] );
         ( "scc_summary",
           Json.Obj
             [
@@ -348,8 +327,8 @@ let write_json ~path ~domains ~samples ~tables ~samples_per_sec
                 Json.Obj
                   [
                     ("program", Json.String "five-function diamond, one leaf edited");
-                    ("cold", (fun (v, c) -> strategy v c) incr_cold);
-                    ("warm", (fun (v, c) -> strategy v c) incr_warm);
+                    ("cold", transfers incr_cold);
+                    ("warm", transfers incr_warm);
                   ] );
             ] );
         ( "analysis_cache",
@@ -382,10 +361,9 @@ let () =
       Format.eprintf "%a@." Wcet_diag.Diag.pp d;
       exit (Wcet_diag.Diag.exit_for d)
   in
-  (* T1 first, alone at top level: the histogram shards get all domains.
-     The observability switch is still off here, so the sampling loop is
-     measured at its uninstrumented speed — enabling tracing must never
-     skew the headline throughput number. *)
+  (* T1 first. The observability switch is still off here, so the sampling
+     loop is measured at its uninstrumented speed — enabling tracing must
+     never skew the headline throughput number. *)
   let t1_out, t1_seconds = timed (fun () -> render (Harness.table_t1 ~samples)) in
   print_string t1_out;
   print_newline ();
@@ -394,27 +372,22 @@ let () =
      ldivmod_iterations histogram metric (T1 itself ran unobserved). *)
   Wcet_obs.Obs.enable ();
   ignore (Softarith.Ldivmod.histogram ~samples:100_000 ~seed:1L ());
-  (* The remaining tables fan out across the pool; each is rendered to its
-     own buffer and printed in the fixed order below. *)
-  let tables =
-    [|
-      ("F1", fun ppf () -> Harness.table_f1 ppf ());
-      ("E1", fun ppf () -> Harness.table_rules ppf ());
-      ("E2", fun ppf () -> Harness.table_tier_two ppf ());
-      ("A1/A2", fun ppf () -> Harness.table_ablations ppf ());
-    |]
-  in
-  let rendered =
-    Parallel.map (Array.length tables) (fun i ->
-        let name, table = tables.(i) in
+  (* The remaining tables run one after another; E1 and E2 fan their corpus
+     entries out across the pool. *)
+  let timings =
+    List.map
+      (fun (name, table) ->
         let out, seconds = timed (fun () -> render table) in
-        (name, out, seconds))
+        print_string out;
+        print_newline ();
+        (name, seconds))
+      [
+        ("F1", fun ppf () -> Harness.table_f1 ppf ());
+        ("E1", fun ppf () -> Harness.table_rules ppf ());
+        ("E2", fun ppf () -> Harness.table_tier_two ppf ());
+        ("A1/A2", fun ppf () -> Harness.table_ablations ppf ());
+      ]
   in
-  Array.iter
-    (fun (_, out, _) ->
-      print_string out;
-      print_newline ())
-    rendered;
   (* E4 runs the corpus twice (interval, then auto) so its rows feed both
      the printed table and the value_domain JSON block without a re-run;
      the entries themselves fan out across the pool. *)
@@ -426,12 +399,6 @@ let () =
   let e5, e5_seconds = timed (fun () -> Harness.e5_rows ()) in
   print_string (render (fun ppf () -> Harness.pp_e5 ppf e5));
   print_newline ();
-  let (rpo, fifo) = fixpoint_comparison () in
-  let (rpo_value, rpo_cache) = rpo and (fifo_value, fifo_cache) = fifo in
-  Format.printf
-    "== fixpoint worklist (quickstart program) ==@.  rpo  transfers: value %d + cache %d = %d@.  \
-     fifo transfers: value %d + cache %d = %d@.@."
-    rpo_value rpo_cache (rpo_value + rpo_cache) fifo_value fifo_cache (fifo_value + fifo_cache);
   let ((wp_value, wp_cache, wp_secs), (sm_value, sm_cache, sm_secs)) as scc =
     scc_engine_comparison ()
   in
@@ -456,11 +423,11 @@ let () =
   let samples_per_sec = float_of_int samples /. t1_seconds in
   let table_times =
     ("T1", t1_seconds)
-    :: (Array.to_list rendered |> List.map (fun (name, _, seconds) -> (name, seconds)))
+    :: timings
     @ [ ("E4", e4_seconds); ("E5", e5_seconds) ]
   in
   write_json ~path:"BENCH_results.json" ~domains ~samples ~tables:table_times ~samples_per_sec
-    ~rpo ~fifo ~store:(store_cold, store_warm) ~scc ~incr ~e4 ~e5;
+    ~store:(store_cold, store_warm) ~scc ~incr ~e4 ~e5;
   Format.printf "== timings (%d domains) ==@." domains;
   List.iter
     (fun (name, seconds) -> Format.printf "  %-6s %8.3f s@." name seconds)

@@ -307,8 +307,7 @@ let finish ~transfer ~nodes ~n (solution : FP.result) =
     transfers = solution.FP.transfers;
   }
 
-let run ?(strategy = Wcet_util.Fixpoint.Rpo) ?seeds ?cancel (cfg : Hw_config.t)
-    (value : Analysis.result) ~region_hints =
+let run ?cancel (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
   let graph = value.Analysis.graph in
   let nodes = graph.Supergraph.nodes in
   let n = Array.length nodes in
@@ -335,7 +334,7 @@ let run ?(strategy = Wcet_util.Fixpoint.Rpo) ?seeds ?cancel (cfg : Hw_config.t)
       widening_delay = max_int;
     }
   in
-  let solution = FP.solve ~strategy ?seeds ?cancel problem in
+  let solution = FP.solve ?cancel problem in
   finish ~transfer ~nodes ~n solution
 
 (* [run_scheduled] solves the same reachability-filtered problem one
@@ -344,8 +343,7 @@ let run ?(strategy = Wcet_util.Fixpoint.Rpo) ?seeds ?cancel (cfg : Hw_config.t)
    every member is covered and the delivered external cache state equals
    the recorded one; the caller must additionally have gated rows on the
    value states their access sets were derived from. *)
-let run_scheduled ?slice ?cancel ?domains (cfg : Hw_config.t) (value : Analysis.result)
-    ~region_hints =
+let run_scheduled ?slice ?cancel (cfg : Hw_config.t) (value : Analysis.result) ~region_hints =
   let graph = value.Analysis.graph in
   let nodes = graph.Supergraph.nodes in
   let n = Array.length nodes in
@@ -385,7 +383,7 @@ let run_scheduled ?slice ?cancel ?domains (cfg : Hw_config.t) (value : Analysis.
           else Some (fun m -> match lookup m with Some row -> row.sc_states | None -> None))
   in
   let solution, pinfo =
-    FP.solve_plan ?summary ?cancel ?domains ~plan
+    FP.solve_plan ?summary ?cancel ~plan
       {
         FP.num_nodes = n;
         entries = [ (graph.Supergraph.entry, initial) ];

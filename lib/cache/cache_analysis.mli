@@ -40,15 +40,11 @@ type result = {
   transfers : int;  (** fixpoint transfer count (worklist efficiency metric) *)
 }
 
-(** [run ?strategy cfg value_result ~region_hints] — [region_hints] maps a
-    function name to the regions its unresolved accesses may touch (from
-    annotations). [strategy] selects the shared fixpoint engine's worklist
-    order (default reverse-postorder priority). [seeds] supplies cached
-    per-node (in, out) states from a previous run (see
-    {!Wcet_util.Fixpoint.Make.solve}). *)
+(** [run cfg value_result ~region_hints] — [region_hints] maps a function
+    name to the regions its unresolved accesses may touch (from
+    annotations). The whole supergraph is one worklist of the shared
+    fixpoint engine ({!Wcet_util.Fixpoint.Make.solve}). *)
 val run :
-  ?strategy:Wcet_util.Fixpoint.strategy ->
-  ?seeds:(int -> (Cstate.t * Cstate.t) option) ->
   ?cancel:(unit -> bool) ->
   Pred32_hw.Hw_config.t ->
   Wcet_value.Analysis.result ->
@@ -88,7 +84,6 @@ val equal_cstate : Cstate.t -> Cstate.t -> bool
 val run_scheduled :
   ?slice:summary_slice ->
   ?cancel:(unit -> bool) ->
-  ?domains:int ->
   Pred32_hw.Hw_config.t ->
   Wcet_value.Analysis.result ->
   region_hints:(string -> Pred32_memory.Region.t list option) ->

@@ -4,8 +4,7 @@
     {!condense} is the generic layer: it condenses any integer node graph
     into a {!Wcet_util.Fixpoint.plan} — components in topological order,
     grouped into dependency levels, with the global RPO index as worklist
-    priority — which [Fixpoint.Make.solve_plan] schedules bottom-up, fanning
-    independent components across the domain pool.
+    priority — which [Fixpoint.Make.solve_plan] schedules bottom-up.
 
     {!of_supergraph} is the function-level view used for reporting, metrics
     and slice bookkeeping: which functions form recursive groups (one SCC),

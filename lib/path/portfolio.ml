@@ -86,8 +86,8 @@ let cross_check ~paranoid ~no_facts runs =
   end;
   List.rev !bad
 
-let run ?(paranoid = false) ?domains ~backends (spec : Path_analysis.spec) loops =
-  let runs = Wcet_util.Parallel.map_list ?domains (run_one spec loops) backends in
+let run ?(paranoid = false) ~backends (spec : Path_analysis.spec) loops =
+  let runs = List.map (run_one spec loops) backends in
   let complete = List.filter (fun r -> Result.is_ok r.r_outcome) runs in
   let best =
     (* tightest bound; ties prefer IPET so counts stay stable for explain *)

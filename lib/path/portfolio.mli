@@ -1,4 +1,4 @@
-(** Portfolio driver: race independent path-analysis backends over the same
+(** Portfolio driver: run independent path-analysis backends over the same
     spec, take the tightest sound bound, and cross-check the results as a
     soundness oracle.
 
@@ -36,13 +36,12 @@ type result = {
   p_intractable : string list;  (** backends excluded by budget (W0305) *)
 }
 
-(** [run ?paranoid ?domains ~backends spec loops] solves with every backend
-    concurrently on the domain pool. [paranoid] arms the witness
+(** [run ?paranoid ~backends spec loops] solves with every backend in list
+    order on the calling domain. [paranoid] arms the witness
     cross-check (default off; WCET_PATH_PARANOID=1 turns it on in the
     analyzer). *)
 val run :
   ?paranoid:bool ->
-  ?domains:int ->
   backends:(module Path_analysis.BACKEND) list ->
   Path_analysis.spec ->
   Wcet_cfg.Loops.info ->

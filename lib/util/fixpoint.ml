@@ -4,12 +4,7 @@
    the node, computed once from the problem's entry nodes and successor
    function. Picking the RPO-least pending node means a node is re-transferred
    only after its (forward-graph) predecessors have stabilised in this sweep,
-   which empirically cuts the transfer count well below chaotic FIFO
-   iteration on loop nests. [Fifo] is kept for comparison benchmarks. *)
-
-type strategy = Fifo | Rpo
-
-let strategy_name = function Fifo -> "fifo" | Rpo -> "rpo"
+   which keeps the transfer count low on loop nests. *)
 
 (* Cooperative cancellation: [solve]/[solve_plan] poll their token before
    every transfer and bail out with this. Declared outside the functor so
@@ -140,168 +135,40 @@ module Make (D : Domain) = struct
     max_pending : int;  (** peak worklist occupancy *)
   }
 
-  (* [propagate] maps a node and its out-state to per-edge contributions
-     (target, state); the default forwards the out-state to every successor.
-     Consumers use it for branch refinement, where an edge may transform the
-     state or kill it entirely (infeasible edge). [budget] bounds the number
-     of transfers; exceeding it raises [Failure msg]. [force_widen_after]
-     widens at *every* node visited more than that many times, as a
-     convergence backstop for domains with infinite ascending chains outside
-     the declared widening points. *)
-  let solve ?(strategy = Rpo) ?propagate ?seeds ?(force_widen_after = max_int) ?budget
-      ?(cancel = fun () -> false) p =
-    let propagate =
-      match propagate with
-      | Some f -> f
-      | None -> fun n out -> List.map (fun m -> (m, out)) (p.succs n)
-    in
-    let priority =
-      match strategy with
-      | Fifo -> [||]
-      | Rpo ->
-        rpo_index ~num_nodes:p.num_nodes ~entries:(List.map fst p.entries) ~succs:p.succs
-    in
-    let input : D.t option array = Array.make p.num_nodes None in
-    let output : D.t option array = Array.make p.num_nodes None in
-    let visits = Array.make p.num_nodes 0 in
-    let in_queue = Array.make p.num_nodes false in
-    let fifo = Queue.create () in
-    let heap = Heap.create (min p.num_nodes 1024) in
-    let transfers = ref 0 in
-    let widenings = ref 0 in
-    let joins = ref 0 in
-    let pending_now = ref 0 in
-    let max_pending = ref 0 in
-    let enqueue n =
-      if not in_queue.(n) then begin
-        in_queue.(n) <- true;
-        incr pending_now;
-        if !pending_now > !max_pending then max_pending := !pending_now;
-        match strategy with
-        | Fifo -> Queue.add n fifo
-        | Rpo -> Heap.push heap priority.(n) n
-      end
-    in
-    let dequeue () =
-      let n = match strategy with Fifo -> Queue.take fifo | Rpo -> Heap.pop heap in
-      in_queue.(n) <- false;
-      decr pending_now;
-      n
-    in
-    let pending () =
-      match strategy with Fifo -> not (Queue.is_empty fifo) | Rpo -> not (Heap.is_empty heap)
-    in
-    let update_input n state =
-      match input.(n) with
-      | None ->
-        input.(n) <- Some state;
-        enqueue n
-      | Some old ->
-        if not (D.leq state old) then begin
-          let merged =
-            if
-              (p.widening_points n && visits.(n) >= p.widening_delay)
-              || visits.(n) >= force_widen_after
-            then begin
-              incr widenings;
-              D.widen old state
-            end
-            else begin
-              incr joins;
-              D.join old state
-            end
-          in
-          input.(n) <- Some merged;
-          enqueue n
-        end
-    in
-    (* Seeds are (in, out) pairs from a previous solve of a compatible
-       problem. A seeded node starts settled at those states: deliveries
-       that stay below the seeded in-state leave it quiet (no transfer),
-       anything above re-enters it through the normal join/widen path. *)
-    (match seeds with
-    | None -> ()
-    | Some seed ->
-      for n = 0 to p.num_nodes - 1 do
-        match seed n with
-        | Some (s_in, s_out) ->
-          input.(n) <- Some s_in;
-          output.(n) <- Some s_out
-        | None -> ()
-      done);
-    List.iter (fun (n, s) -> update_input n s) p.entries;
-    (* Deliver every seeded out-state along its edges once, so unseeded
-       successors (e.g. the return site of a changed caller) receive the
-       cached dataflow even when the seeded region itself never re-runs.
-       Without this a quiet seeded callee would starve its downstream. *)
-    (match seeds with
-    | None -> ()
-    | Some _ ->
-      for n = 0 to p.num_nodes - 1 do
-        match output.(n) with
-        | Some out -> List.iter (fun (m, st) -> update_input m st) (propagate n out)
-        | None -> ()
-      done);
-    while pending () do
-      if cancel () then raise Cancelled;
-      let n = dequeue () in
-      incr transfers;
-      (match budget with
-      | Some b when !transfers > b -> failwith "fixpoint did not converge within budget"
-      | Some _ | None -> ());
-      visits.(n) <- visits.(n) + 1;
-      match input.(n) with
-      | None -> ()
-      | Some s ->
-        let out = p.transfer n s in
-        let changed =
-          match output.(n) with
-          | None -> true
-          | Some old -> not (D.leq out old)
-        in
-        if changed then begin
-          output.(n) <- Some out;
-          List.iter (fun (m, st) -> update_input m st) (propagate n out)
-        end
-    done;
-    {
-      in_state = (fun n -> input.(n));
-      out_state = (fun n -> output.(n));
-      transfers = !transfers;
-      widenings = !widenings;
-      joins = !joins;
-      max_pending = !max_pending;
-    }
-
   type plan_info = {
     applied : bool array;
     per_comp_transfers : int array;
     ext_input : D.t option array;
   }
 
-  (* Component-scheduled solve. Levels run in order; components within a
-     level are independent (no edges between them) and fan out across the
-     domain pool. Each component is solved against the cross-component
-     contributions accumulated in [ext_input] ("inbox"): because every
-     cross-component edge u->v has RPO(u) < RPO(v), the whole-program
-     heap-driven solve also delivers all external inputs of a component
-     before transferring any of its members, so the per-component solve —
-     run with the *global* RPO priority — pops the same sequence and
-     converges to the same states (see DESIGN.md 5g for the fine print on
-     widening at interleaved priorities).
+  (* The one worklist loop. Levels run in order and the components of a
+     level in component order, all on the calling domain. Each component is
+     solved against the cross-component contributions accumulated in
+     [ext_input] ("inbox"): because every cross-component edge u->v has
+     RPO(u) < RPO(v), a heap-driven solve of the whole graph also delivers
+     all external inputs of a component before transferring any of its
+     members, so the per-component solve — run with the *global* RPO
+     priority — pops the same sequence and converges to the same states
+     (see DESIGN.md 5g for the fine print on widening at interleaved
+     priorities). [solve] is this loop over a one-component plan.
+
+     [propagate] maps a node and its out-state to per-edge contributions
+     (target, state); the default forwards the out-state to every successor.
+     Consumers use it for branch refinement, where an edge may transform the
+     state or kill it entirely (infeasible edge). [budget] bounds the total
+     number of transfers; exceeding it raises [Failure msg].
+     [force_widen_after] widens at *every* node visited more than that many
+     times, as a convergence backstop for domains with infinite ascending
+     chains outside the declared widening points.
 
      [summary ~comp ~input] may short-circuit a component: when it returns
      [Some rows], the recorded (in, out) states are installed without any
      transfer and the outputs are propagated downstream — the caller is
      responsible for only doing so when [input] (the delivered inbox)
      matches the inputs the rows were recorded under. [on_comp_start] runs
-     on the worker domain before a component is examined; [on_level_done]
-     runs on the calling domain after a level's results are merged.
-
-     Determinism: results are merged in component order, so states,
-     counters and deliveries are identical for any domain count. *)
+     before a component is examined; [on_level_done] after a level. *)
   let solve_plan ?propagate ?summary ?on_comp_start ?on_level_done
-      ?(force_widen_after = max_int) ?budget ?(cancel = fun () -> false) ?domains ~plan p =
+      ?(force_widen_after = max_int) ?budget ?(cancel = fun () -> false) ~plan p =
     let propagate =
       match propagate with
       | Some f -> f
@@ -316,14 +183,15 @@ module Make (D : Domain) = struct
     let comp_count = Array.length plan.plan_comps in
     let applied = Array.make comp_count false in
     let per_comp_transfers = Array.make comp_count 0 in
+    let heap = Heap.create (min n 1024) in
     let transfers = ref 0 in
     let widenings = ref 0 in
     let joins = ref 0 in
     let max_pending = ref 0 in
-    (* Merge a cross-component contribution into the inbox (caller domain
-       only). Inbox states are never widened: every delivery lands before
-       the target is first visited, mirroring the whole-program solve where
-       such merges always take the join path (visits = 0). *)
+    (* Merge a cross-component contribution into the inbox. Inbox states are
+       never widened: every delivery lands before the target is first
+       visited, mirroring a whole-graph solve where such merges always take
+       the join path (visits = 0). *)
     let deliver (m, st) =
       match ext_input.(m) with
       | None -> ext_input.(m) <- Some st
@@ -333,141 +201,103 @@ module Make (D : Domain) = struct
           ext_input.(m) <- Some (D.join old st)
         end
     in
+    let enqueue m =
+      if not in_queue.(m) then begin
+        in_queue.(m) <- true;
+        Heap.push heap plan.plan_priority.(m) m;
+        if heap.Heap.size > !max_pending then max_pending := heap.Heap.size
+      end
+    in
+    let update m st =
+      match input.(m) with
+      | None ->
+        input.(m) <- Some st;
+        enqueue m
+      | Some old ->
+        if not (D.leq st old) then begin
+          let merged =
+            if
+              (p.widening_points m && visits.(m) >= p.widening_delay)
+              || visits.(m) >= force_widen_after
+            then begin
+              incr widenings;
+              D.widen old st
+            end
+            else begin
+              incr joins;
+              D.join old st
+            end
+          in
+          input.(m) <- Some merged;
+          enqueue m
+        end
+    in
     List.iter deliver p.entries;
-    (* Solve (or apply) one component on a worker domain. Shared arrays are
-       written only at member indices, which are disjoint across the
-       components of a level. Returns the cross-component deliveries in
-       emission order plus local counters. *)
+    let install lookup cid members =
+      applied.(cid) <- true;
+      Array.iter
+        (fun m ->
+          match lookup m with
+          | Some (s_in, s_out) ->
+            input.(m) <- Some s_in;
+            output.(m) <- Some s_out
+          | None -> ())
+        members;
+      Array.iter
+        (fun m ->
+          match output.(m) with
+          | None -> ()
+          | Some out ->
+            List.iter
+              (fun ((t, _) as c) -> if plan.plan_comp_of.(t) <> cid then deliver c)
+              (propagate m out))
+        members
+    in
+    let iterate cid members =
+      Array.iter (fun m -> match ext_input.(m) with Some st -> update m st | None -> ()) members;
+      let start = !transfers in
+      while not (Heap.is_empty heap) do
+        if cancel () then raise Cancelled;
+        let m = Heap.pop heap in
+        in_queue.(m) <- false;
+        incr transfers;
+        (match budget with
+        | Some b when !transfers > b -> failwith "fixpoint did not converge within budget"
+        | Some _ | None -> ());
+        visits.(m) <- visits.(m) + 1;
+        match input.(m) with
+        | None -> ()
+        | Some s ->
+          let out = p.transfer m s in
+          let changed =
+            match output.(m) with
+            | None -> true
+            | Some old -> not (D.leq out old)
+          in
+          if changed then begin
+            output.(m) <- Some out;
+            List.iter
+              (fun ((t, st) as c) -> if plan.plan_comp_of.(t) = cid then update t st else deliver c)
+              (propagate m out)
+          end
+      done;
+      per_comp_transfers.(cid) <- !transfers - start
+    in
     let solve_comp cid =
       if cancel () then raise Cancelled;
       (match on_comp_start with Some f -> f cid | None -> ());
       let members = plan.plan_comps.(cid) in
-      if not (Array.exists (fun m -> ext_input.(m) <> None) members) then
-        (* Never activated: unreachable under the delivered dataflow. *)
-        ([], false, 0, 0, 0, 0)
-      else begin
-        let rows =
-          match summary with
-          | None -> None
-          | Some lookup -> lookup ~comp:cid ~input:(fun m -> ext_input.(m))
-        in
-        match rows with
-        | Some lookup ->
-          Array.iter
-            (fun m ->
-              match lookup m with
-              | Some (s_in, s_out) ->
-                input.(m) <- Some s_in;
-                output.(m) <- Some s_out
-              | None -> ())
-            members;
-          let outbox = ref [] in
-          Array.iter
-            (fun m ->
-              match output.(m) with
-              | None -> ()
-              | Some out ->
-                List.iter
-                  (fun (t, st) ->
-                    if plan.plan_comp_of.(t) <> cid then outbox := (t, st) :: !outbox)
-                  (propagate m out))
-            members;
-          (List.rev !outbox, true, 0, 0, 0, 0)
-        | None ->
-          let heap = Heap.create (max 16 (Array.length members)) in
-          let outbox = ref [] in
-          let local_transfers = ref 0 in
-          let local_widenings = ref 0 in
-          let local_joins = ref 0 in
-          let pending_now = ref 0 in
-          let local_peak = ref 0 in
-          let enqueue m =
-            if not in_queue.(m) then begin
-              in_queue.(m) <- true;
-              incr pending_now;
-              if !pending_now > !local_peak then local_peak := !pending_now;
-              Heap.push heap plan.plan_priority.(m) m
-            end
-          in
-          let update m st =
-            match input.(m) with
-            | None ->
-              input.(m) <- Some st;
-              enqueue m
-            | Some old ->
-              if not (D.leq st old) then begin
-                let merged =
-                  if
-                    (p.widening_points m && visits.(m) >= p.widening_delay)
-                    || visits.(m) >= force_widen_after
-                  then begin
-                    incr local_widenings;
-                    D.widen old st
-                  end
-                  else begin
-                    incr local_joins;
-                    D.join old st
-                  end
-                in
-                input.(m) <- Some merged;
-                enqueue m
-              end
-          in
-          Array.iter
-            (fun m -> match ext_input.(m) with Some st -> update m st | None -> ())
-            members;
-          (* [transfers] is only written between levels, so the budget base
-             is stable for the whole level (the cap is a per-level-start
-             snapshot — slightly lax across a level, still a backstop). *)
-          let base = !transfers in
-          while not (Heap.is_empty heap) do
-            if cancel () then raise Cancelled;
-            let m = Heap.pop heap in
-            in_queue.(m) <- false;
-            decr pending_now;
-            incr local_transfers;
-            (match budget with
-            | Some b when base + !local_transfers > b ->
-              failwith "fixpoint did not converge within budget"
-            | Some _ | None -> ());
-            visits.(m) <- visits.(m) + 1;
-            match input.(m) with
-            | None -> ()
-            | Some s ->
-              let out = p.transfer m s in
-              let changed =
-                match output.(m) with
-                | None -> true
-                | Some old -> not (D.leq out old)
-              in
-              if changed then begin
-                output.(m) <- Some out;
-                List.iter
-                  (fun (t, st) ->
-                    if plan.plan_comp_of.(t) = cid then update t st
-                    else outbox := (t, st) :: !outbox)
-                  (propagate m out)
-              end
-          done;
-          (List.rev !outbox, false, !local_transfers, !local_widenings, !local_joins, !local_peak)
-      end
+      (* A component no delivery reached is unreachable. *)
+      if Array.exists (fun m -> ext_input.(m) <> None) members then
+        match Option.bind summary (fun rows -> rows ~comp:cid ~input:(fun m -> ext_input.(m))) with
+        | Some lookup -> install lookup cid members
+        | None -> iterate cid members
     in
-    let run_level comps =
-      let results = Parallel.map ?domains (Array.length comps) (fun k -> solve_comp comps.(k)) in
-      Array.iteri
-        (fun k (outbox, comp_applied, tr, wd, jn, pk) ->
-          let cid = comps.(k) in
-          applied.(cid) <- comp_applied;
-          per_comp_transfers.(cid) <- tr;
-          transfers := !transfers + tr;
-          widenings := !widenings + wd;
-          joins := !joins + jn;
-          if pk > !max_pending then max_pending := pk;
-          List.iter deliver outbox)
-        results;
-      match on_level_done with Some f -> f comps | None -> ()
-    in
-    Array.iter run_level plan.plan_levels;
+    Array.iter
+      (fun comps ->
+        Array.iter solve_comp comps;
+        match on_level_done with Some f -> f comps | None -> ())
+      plan.plan_levels;
     ( {
         in_state = (fun m -> input.(m));
         out_state = (fun m -> output.(m));
@@ -477,4 +307,16 @@ module Make (D : Domain) = struct
         max_pending = !max_pending;
       },
       { applied; per_comp_transfers; ext_input } )
+
+  let solve ?propagate ?force_widen_after ?budget ?cancel p =
+    let n = p.num_nodes in
+    let plan =
+      {
+        plan_comp_of = Array.make n 0;
+        plan_comps = [| Array.init n Fun.id |];
+        plan_levels = [| [| 0 |] |];
+        plan_priority = rpo_index ~num_nodes:n ~entries:(List.map fst p.entries) ~succs:p.succs;
+      }
+    in
+    fst (solve_plan ?propagate ?force_widen_after ?budget ?cancel ~plan p)
 end

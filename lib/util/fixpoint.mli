@@ -2,17 +2,12 @@
     explicit directed graph of integer-indexed nodes.
 
     All abstract-interpretation passes (value analysis, cache analysis) are
-    instances of this solver. The default worklist is a binary heap keyed by
-    the reverse-postorder index of each node (computed once from the
-    problem's entries and successor function), so a node is re-transferred
-    only after its forward-graph predecessors have settled in the current
-    sweep — far fewer transfers than chaotic FIFO iteration on loop nests. *)
-
-(** [Fifo] preserves the historical chaotic-iteration order and exists for
-    transfer-count comparisons; [Rpo] is the default. *)
-type strategy = Fifo | Rpo
-
-val strategy_name : strategy -> string
+    instances of this solver. The worklist is a binary heap keyed by the
+    reverse-postorder index of each node (computed once from the problem's
+    entries and successor function), so a node is re-transferred only after
+    its forward-graph predecessors have settled in the current sweep. There
+    is one worklist loop, {!Make.solve_plan}; {!Make.solve} runs it over a
+    plan with a single component. Every solve runs on the calling domain. *)
 
 (** [rpo_index ~num_nodes ~entries ~succs] is the reverse-postorder index of
     every node reachable from [entries]; unreachable nodes get [max_int].
@@ -75,8 +70,9 @@ module Make (D : Domain) : sig
     max_pending : int;  (** peak worklist occupancy *)
   }
 
-  (** [solve ?strategy ?propagate ?force_widen_after ?budget problem] runs
-      the worklist algorithm to a post-fixpoint.
+  (** [solve ?propagate ?force_widen_after ?budget problem] runs the
+      worklist algorithm to a post-fixpoint: {!solve_plan} over a plan that
+      puts every node in one component, prioritised by {!rpo_index}.
 
       [propagate node out_state] lists the per-edge contributions
       [(target, state)] of a node's out-state; the default forwards
@@ -85,26 +81,13 @@ module Make (D : Domain) : sig
       (infeasible edge). The targets it returns must be a subset of
       [succs node] — the priority order is computed from [succs].
 
-      [seeds node] supplies an [(in_state, out_state)] pair recorded from a
-      previous solve of a compatible problem (same transfer semantics for
-      that node). Seeded nodes start settled at those states and re-enter
-      the worklist only when a propagated contribution is not already below
-      the seeded in-state; each seeded out-state is propagated once at
-      start-up so unseeded successors still receive the cached dataflow.
-      Soundness: because the system is monotone and seeds are post-fixpoint
-      components, the result is again a post-fixpoint; if the seeds came
-      from the least fixpoint of the *same* problem the result is identical
-      and no seeded node is re-transferred.
-
       [force_widen_after] widens at any node visited more than that many
       times regardless of [widening_points], as a convergence backstop.
       [budget] caps the transfer count; exceeding it raises [Failure].
       [cancel] is polled before every transfer; when it returns [true] the
       solve raises {!Cancelled}. *)
   val solve :
-    ?strategy:strategy ->
     ?propagate:(int -> D.t -> (int * D.t) list) ->
-    ?seeds:(int -> (D.t * D.t) option) ->
     ?force_widen_after:int ->
     ?budget:int ->
     ?cancel:(unit -> bool) ->
@@ -123,16 +106,15 @@ module Make (D : Domain) : sig
 
   (** [solve_plan ~plan problem] solves the problem one strongly connected
       component at a time, bottom-up over the condensation: levels run in
-      order, the components of a level are independent and fan out across
-      the {!Parallel} domain pool, and results are merged in component
-      order so the outcome is deterministic for any domain count.
+      order and the components of a level in component order, on the
+      calling domain.
 
       Because every cross-component edge goes forward in both the
-      condensation and the RPO priority, the whole-program {!solve} also
-      finishes a component's predecessors before first visiting the
-      component; solving each component against its accumulated external
-      inputs with the global RPO priority therefore reproduces the
-      whole-program fixpoint (and transfer count) component by component.
+      condensation and the RPO priority, a heap-driven solve of the whole
+      graph also finishes a component's predecessors before first visiting
+      the component; solving each component against its accumulated
+      external inputs with the global RPO priority therefore reproduces the
+      whole-graph fixpoint (and transfer count) component by component.
 
       [summary ~comp ~input] may short-circuit a component by returning
       recorded [(in, out)] rows for its members; they are installed without
@@ -140,16 +122,12 @@ module Make (D : Domain) : sig
       must only do so when [input] — the delivered inbox, per member —
       semantically equals the inputs the rows were recorded under, and the
       rows cover every member (unreached members may map to [None]).
-      It runs on a worker domain and must not mutate shared state except at
-      member indices. [on_comp_start cid] runs on the worker domain before
-      the component is examined (summary check included); [on_level_done
-      comps] runs on the calling domain after a level is merged.
+      [on_comp_start cid] runs before the component is examined (summary
+      check included); [on_level_done comps] runs after the last component
+      of a level.
 
-      [strategy] is not a parameter: scheduled solving is inherently
-      priority-driven ([Rpo]). [seeds] are not supported — summaries
-      subsume them. [cancel] is polled on the worker domains before every
-      transfer; a tripped token raises {!Cancelled} on the calling domain
-      (the token must therefore be safe to call from any domain). *)
+      [propagate], [force_widen_after] and [cancel] are as for {!solve};
+      [budget] caps the total transfer count over all components. *)
   val solve_plan :
     ?propagate:(int -> D.t -> (int * D.t) list) ->
     ?summary:(comp:int -> input:(int -> D.t option) -> (int -> (D.t * D.t) option) option) ->
@@ -158,7 +136,6 @@ module Make (D : Domain) : sig
     ?force_widen_after:int ->
     ?budget:int ->
     ?cancel:(unit -> bool) ->
-    ?domains:int ->
     plan:plan ->
     problem ->
     result * plan_info

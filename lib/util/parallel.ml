@@ -1,15 +1,13 @@
 (* Small fixed-size domain pool for coarse-grained fan-out (histogram shards,
-   corpus entries, bench tables).
+   corpus entries).
 
    Tasks are indices 0..n-1 pulled from a mutex-protected counter; every
    worker writes its results into a slot of a shared array, so collection
    order — and therefore every downstream artifact — is deterministic and
    independent of the domain count. Exceptions are captured per-task and the
-   first one (in task order) is re-raised on the caller's domain.
-
-   Nested [map] calls run serially on the calling worker: the outer pool
-   already owns the hardware, and OCaml domains are heavyweight enough that
-   oversubscription costs real time. *)
+   first one (in task order) is re-raised on the caller's domain. Callers
+   fan out once, at the outermost level: a task that calls [map] again
+   spawns domains of its own. *)
 
 let max_domains = 64
 
@@ -22,14 +20,12 @@ let default_domains () =
     | Some _ | None -> 1)
   | None -> min (Domain.recommended_domain_count ()) max_domains
 
-let inside_pool = Domain.DLS.new_key (fun () -> false)
-
 let map ?domains n f =
   if n < 0 then invalid_arg "Parallel.map: negative task count";
   let d = match domains with Some d -> max 1 d | None -> default_domains () in
   let d = min d n in
   if n = 0 then [||]
-  else if d <= 1 || Domain.DLS.get inside_pool then Array.init n f
+  else if d <= 1 then Array.init n f
   else begin
     let results : ('a, exn) Result.t option array = Array.make n None in
     let next = ref 0 in
@@ -42,7 +38,6 @@ let map ?domains n f =
       if i < n then Some i else None
     in
     let worker () =
-      Domain.DLS.set inside_pool true;
       let rec loop () =
         match take () with
         | None -> ()
@@ -54,7 +49,6 @@ let map ?domains n f =
     in
     let spawned = List.init (d - 1) (fun _ -> Domain.spawn worker) in
     worker ();
-    Domain.DLS.set inside_pool false;
     List.iter Domain.join spawned;
     Array.map
       (function

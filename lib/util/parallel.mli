@@ -4,8 +4,9 @@
     and every artifact derived from it — is identical for any domain count,
     including 1. The environment variable [PAR_DOMAINS] overrides the
     default worker count ([Domain.recommended_domain_count ()], capped);
-    [PAR_DOMAINS=1] forces fully serial execution. Nested calls from inside
-    a pool worker run serially on that worker (no oversubscription). *)
+    [PAR_DOMAINS=1] forces fully serial execution. Fan out once, at the
+    outermost level: a task that calls {!map} again spawns domains of its
+    own. *)
 
 (** Hard cap on the worker count. *)
 val max_domains : int

@@ -68,7 +68,7 @@ let eval_alu op a b =
 
 (* Frame-linkage bookkeeping is behind hooks: the whole-program solve uses
    one chronological table, the scheduled solve a level snapshot plus a
-   worker-local overlay (see run_scheduled). *)
+   per-component overlay (see run_scheduled). *)
 type ctx = {
   program : Program.t;
   is_linkage : int -> bool;
@@ -271,16 +271,13 @@ let finish ?(publish = true) ctx (graph : Supergraph.t) node_in node_out (soluti
   if publish then publish_access_metrics accesses;
   { graph; node_in; node_out; accesses; transfers = solution.FP.transfers }
 
-let run ?(strategy = Wcet_util.Fixpoint.Rpo) ?(assumes = []) ?seeds ?cancel ?publish
-    (graph : Supergraph.t) (loops : Loops.info) =
+let run ?(assumes = []) ?cancel ?publish (graph : Supergraph.t) (loops : Loops.info) =
   let n = Array.length graph.Supergraph.nodes in
   let ctx = chronological_ctx graph.Supergraph.program in
   let widening_point = widening_points graph loops in
   let solution =
     try
-      FP.solve ~strategy
-        ~propagate:(propagate_of ctx graph)
-        ?seeds ?cancel ~force_widen_after:40
+      FP.solve ~propagate:(propagate_of ctx graph) ?cancel ~force_widen_after:40
         ~budget:(200 * n * (1 + Array.length loops.Loops.loops))
         {
           FP.num_nodes = n;
@@ -337,7 +334,7 @@ let comp_spans analysis (graph : Supergraph.t) (plan : Wcet_util.Fixpoint.plan)
         end)
       plan.Wcet_util.Fixpoint.plan_comps
 
-let run_scheduled ?(assumes = []) ?slice ?cancel ?domains ?publish (graph : Supergraph.t)
+let run_scheduled ?(assumes = []) ?slice ?cancel ?publish (graph : Supergraph.t)
     (loops : Loops.info) =
   let n = Array.length graph.Supergraph.nodes in
   let nodes = graph.Supergraph.nodes in
@@ -345,24 +342,22 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?domains ?publish (graph : Supe
   let plan =
     Wcet_cfg.Callgraph.condense ~num_nodes:n ~entries:[ graph.Supergraph.entry ] ~succs
   in
-  (* Linkage under scheduled solving: workers see the registrations of
-     strictly earlier levels (a snapshot merged between levels on the
-     calling domain) plus their own component's (a worker-local overlay,
-     reset per component). Per-node registrations are also recorded so that
-     an applied component replays the ones from its rows. *)
+  (* Linkage under scheduled solving: a component sees the registrations of
+     strictly earlier levels (a snapshot merged after each level) plus its
+     own (an overlay, reset per component). Per-node registrations are also
+     recorded so that an applied component replays the ones from its rows. *)
   let snapshot : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let overlay_key = Domain.DLS.new_key (fun () -> Hashtbl.create 16) in
-  let current_node = Domain.DLS.new_key (fun () -> ref (-1)) in
+  let overlay : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let current_node = ref (-1) in
   let node_linkage : int list array = Array.make n [] in
   let ctx =
     {
       program = graph.Supergraph.program;
-      is_linkage =
-        (fun a -> Hashtbl.mem (Domain.DLS.get overlay_key) a || Hashtbl.mem snapshot a);
+      is_linkage = (fun a -> Hashtbl.mem overlay a || Hashtbl.mem snapshot a);
       register_linkage =
         (fun a ->
-          Hashtbl.replace (Domain.DLS.get overlay_key) a ();
-          let nd = !(Domain.DLS.get current_node) in
+          Hashtbl.replace overlay a ();
+          let nd = !current_node in
           if nd >= 0 && not (List.mem a node_linkage.(nd)) then
             node_linkage.(nd) <- a :: node_linkage.(nd));
       record = None;
@@ -399,11 +394,11 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?domains ?publish (graph : Supe
   in
   let solution, pinfo =
     try
-      FP.solve_plan ?summary ?cancel ?domains
+      FP.solve_plan ?summary ?cancel
         ~propagate:(propagate_of ctx graph)
         ~on_comp_start:(fun _ ->
-          Hashtbl.reset (Domain.DLS.get overlay_key);
-          Domain.DLS.get current_node := -1)
+          Hashtbl.reset overlay;
+          current_node := -1)
         ~on_level_done:(fun comps ->
           Array.iter
             (fun cid ->
@@ -421,7 +416,7 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?domains ?publish (graph : Supe
           succs;
           transfer =
             (fun i st ->
-              Domain.DLS.get current_node := i;
+              current_node := i;
               transfer_block ctx st nodes.(i));
           widening_points = (fun i -> widening_point.(i));
           widening_delay = 2;
@@ -823,7 +818,7 @@ let escalate ?(assumes = []) ?cancel ~funcs (base : result) (loops : Loops.info)
   let widening_point = widening_points graph loops in
   let solution =
     try
-      FP2.solve ~strategy:Wcet_util.Fixpoint.Rpo
+      FP2.solve
         ~propagate:(fun i p ->
           let node = graph.Supergraph.nodes.(i) in
           List.filter_map

@@ -21,20 +21,14 @@ type result = {
   transfers : int;  (** fixpoint transfer count (worklist efficiency metric) *)
 }
 
-(** [run ?strategy ?assumes graph loops] — [assumes] are trusted initial
-    memory facts (address, interval) from annotations (the paper's
-    design-level information). [strategy] selects the worklist order of the
-    shared fixpoint engine (default reverse-postorder priority; [Fifo] only
-    for transfer-count comparisons — the fixpoint itself is identical).
-    [seeds] supplies cached per-node (in, out) states from a previous run
-    (see {!Wcet_util.Fixpoint.Make.solve}); nodes of unchanged functions
-    then settle without re-transferring (incremental re-analysis).
-    [cancel] is the cooperative cancellation token of the underlying
-    solver: when it trips, {!Wcet_util.Fixpoint.Cancelled} escapes. *)
+(** [run ?assumes graph loops] — [assumes] are trusted initial memory facts
+    (address, interval) from annotations (the paper's design-level
+    information). The whole supergraph is one worklist of the shared
+    fixpoint engine ({!Wcet_util.Fixpoint.Make.solve}). [cancel] is the
+    cooperative cancellation token of the underlying solver: when it trips,
+    {!Wcet_util.Fixpoint.Cancelled} escapes. *)
 val run :
-  ?strategy:Wcet_util.Fixpoint.strategy ->
   ?assumes:(int * Aval.t) list ->
-  ?seeds:(int -> (State.t * State.t) option) ->
   ?cancel:(unit -> bool) ->
   ?publish:bool ->
   Wcet_cfg.Supergraph.t ->
@@ -44,8 +38,7 @@ val run :
 (** [run_scheduled ?assumes ?slice graph loops] solves the same problem one
     strongly connected component at a time, bottom-up over the call-graph
     condensation ({!Wcet_cfg.Callgraph.condense} +
-    {!Wcet_util.Fixpoint.Make.solve_plan}): independent components run
-    concurrently on the domain pool with a deterministic merge, and a
+    {!Wcet_util.Fixpoint.Make.solve_plan}), on the calling domain. A
     component whose members are covered by [slice] rows recorded under
     semantically equal external inputs is applied without transferring a
     single node — a one-function edit re-solves only that function's
@@ -58,7 +51,6 @@ val run_scheduled :
   ?assumes:(int * Aval.t) list ->
   ?slice:Summary.slice ->
   ?cancel:(unit -> bool) ->
-  ?domains:int ->
   ?publish:bool ->
   Wcet_cfg.Supergraph.t ->
   Wcet_cfg.Loops.info ->

@@ -37,9 +37,7 @@ let m_scc_count =
 (* Which fixpoint engine drives the value and cache analyses. [Summary] is
    the default: a bottom-up component-scheduled solve over the call-graph
    condensation with persistent per-function summaries (O(changed)
-   re-analysis). [Whole_program] is the classic single-worklist solve; it
-   is forced whenever a non-default worklist strategy is requested, since
-   the component schedule is inherently priority-ordered. *)
+   re-analysis). [Whole_program] is the classic single-worklist solve. *)
 type engine = Summary | Whole_program
 
 let engine_name = function Summary -> "summary" | Whole_program -> "whole-program"
@@ -266,10 +264,9 @@ let region_hints_of_annot c program (annot : Annot.t) func =
     | [] -> None
     | rs -> Some rs)
 
-(* Region hints resolved once per function of the graph, up front: the
-   cache transfer runs on worker domains under the summary engine, where
-   resolving lazily would race on the diagnostic collector — and would
-   emit one W0403 per node instead of one per function. *)
+(* Region hints resolved once per function of the graph, up front:
+   resolving lazily in the cache transfer would emit one W0403 per node
+   instead of one per function. *)
 let region_hint_table c program annot (graph : Supergraph.t) =
   let tbl : (string, Pred32_memory.Region.t list option) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
@@ -395,10 +392,8 @@ let validate_loop_places c program (annot : Annot.t) =
       | Annot.At_addr _ -> ())
     annot.Annot.loop_bounds
 
-let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
-    ?(strategy = Wcet_util.Fixpoint.Rpo) ?(engine = Summary)
+let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine = Summary)
     ?(domain = Analysis.Interval) ?(path_backend = Path_analysis.Portfolio) ?cancel program =
-  let engine = if strategy <> Wcet_util.Fixpoint.Rpo then Whole_program else engine in
   (* The token reaches the value/cache fixpoints (polled per transfer); the
      remaining phases poll it at their boundary so a deadline that expires
      between fixpoints still cancels before the next phase starts. *)
@@ -477,7 +472,7 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
               in
               (value, Some vinfo)
             | Whole_program ->
-              (Analysis.run ~strategy ~assumes ?cancel ~publish graph loops, None)
+              (Analysis.run ~assumes ?cancel ~publish graph loops, None)
           in
           (value, vinfo, Loop_bounds.analyze value loops)
         with
@@ -730,7 +725,7 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
               ?cancel hw value ~region_hints
           in
           (cache, Some cinfo)
-        | Whole_program -> (Cache_analysis.run ~strategy ?cancel hw value ~region_hints, None))
+        | Whole_program -> (Cache_analysis.run ?cancel hw value ~region_hints, None))
   in
   (* Paranoid cross-check: re-solve whole-program and require semantic
      state equality at every node. Divergence means a summary was applied
@@ -871,7 +866,7 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
   (match escalation with
   | Some _ when value_paranoid () ->
     let base_r =
-      analyze_inner ~hw ~annot ~strategy ~engine ~domain:Analysis.Interval ~path_backend
+      analyze_inner ~hw ~annot ~engine ~domain:Analysis.Interval ~path_backend
         ?cancel program
     in
     if base_r.verdict = Complete && solution.Ipet.wcet > base_r.wcet then
@@ -908,10 +903,8 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty)
     phase_seconds = List.rev !phases;
   }
 
-let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty)
-    ?(strategy = Wcet_util.Fixpoint.Rpo) ?(engine = Summary)
+let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine = Summary)
     ?(domain = Analysis.Interval) ?(path_backend = Path_analysis.Portfolio) ?cancel program =
-  let engine = if strategy <> Wcet_util.Fixpoint.Rpo then Whole_program else engine in
   let ename = engine_name engine in
   let dname = Analysis.domain_name domain in
   let pname = Path_analysis.choice_name path_backend in
@@ -920,7 +913,7 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty)
         if not (Report_cache.enabled ()) then None
         else
           match
-            Report_cache.find_report ~hw ~annot ~strategy ~engine:ename ~domain:dname
+            Report_cache.find_report ~hw ~annot ~engine:ename ~domain:dname
               ~path:pname program
           with
           | None -> None
@@ -931,7 +924,7 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty)
             match (Marshal.from_string payload 0 : report) with
             | r -> Some r
             | exception _ ->
-              Report_cache.invalidate_report ~hw ~annot ~strategy ~engine:ename ~domain:dname
+              Report_cache.invalidate_report ~hw ~annot ~engine:ename ~domain:dname
                 ~path:pname program;
               None)
       in
@@ -939,9 +932,9 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty)
         match cached with
         | Some r -> r
         | None ->
-          let r = analyze_inner ~hw ~annot ~strategy ~engine ~domain ~path_backend ?cancel program in
+          let r = analyze_inner ~hw ~annot ~engine ~domain ~path_backend ?cancel program in
           if Report_cache.enabled () then
-            Report_cache.save_report ~hw ~annot ~strategy ~engine:ename ~domain:dname
+            Report_cache.save_report ~hw ~annot ~engine:ename ~domain:dname
               ~path:pname program
               (Marshal.to_string r []);
           r

@@ -109,9 +109,8 @@ type report = {
 
 (** Fixpoint engine for the value and cache analyses. [Summary] (the
     default) condenses the call graph into strongly connected components
-    and solves bottom-up: independent components run concurrently on the
-    domain pool, and components covered by persisted summary rows recorded
-    under the same external inputs are applied without transferring — a
+    and solves bottom-up, one component at a time; components covered by
+    persisted summary rows recorded under the same external inputs are applied without transferring — a
     one-function edit re-analyzes only that function's components and the
     components whose inputs actually changed. [Whole_program] is the
     classic single-worklist solve. The engines agree on bounds and
@@ -123,14 +122,9 @@ type engine = Summary | Whole_program
 (** ["summary"] / ["whole-program"]. *)
 val engine_name : engine -> string
 
-(** [analyze ?hw ?annot ?strategy ?engine program] raises {!Analysis_failed}
-    only on global failures (see above); local problems degrade to [holes]
-    with a [Partial] verdict. [strategy] picks the fixpoint worklist order
-    of the value and cache analyses; the default reverse-postorder priority
-    worklist gives the same fixpoint as [Fifo] with strictly fewer
-    transfers on structured programs. A non-default [strategy] forces the
-    [Whole_program] engine (the component schedule is inherently
-    priority-ordered).
+(** [analyze ?hw ?annot ?engine program] raises {!Analysis_failed} only on
+    global failures (see above); local problems degrade to [holes] with a
+    [Partial] verdict. The whole analysis runs on the calling domain.
 
     [domain] selects the value domain ({!Wcet_value.Analysis.domain},
     default [Interval] — bit-identical to the pre-octagon analyzer).
@@ -146,7 +140,7 @@ val engine_name : engine -> string
     [path_backend] selects the path-analysis backend
     ({!Wcet_path.Path_analysis.choice}, default [Portfolio]): [Ipet] is the
     ILP encoding, [Mc] the slicing + bounded-model-checking backend,
-    [Csolve] the structural constraint solver. [Portfolio] races all
+    [Csolve] the structural constraint solver. [Portfolio] runs all
     three, takes the tightest sound bound and cross-checks the results as
     a soundness oracle — a disagreement beyond attributable slack aborts
     with E0303 (the [WCET_PATH_PARANOID] environment flag additionally
@@ -159,7 +153,6 @@ val engine_name : engine -> string
 val analyze :
   ?hw:Pred32_hw.Hw_config.t ->
   ?annot:Wcet_annot.Annot.t ->
-  ?strategy:Wcet_util.Fixpoint.strategy ->
   ?engine:engine ->
   ?domain:Wcet_value.Analysis.domain ->
   ?path_backend:Wcet_path.Path_analysis.choice ->

@@ -4,8 +4,8 @@
 
    - "report": the whole marshaled analyzer report, keyed by everything
      the analysis depends on (binary image, memory map, annotations,
-     hardware configuration, worklist strategy). A hit skips every phase
-     and is bit-identical to the run that wrote it.
+     hardware configuration, engine, value domain, path backend). A hit
+     skips every phase and is bit-identical to the run that wrote it.
 
    - "func": per-function summary rows for the component-scheduled
      analyses (Analysis.run_scheduled / Cache_analysis.run_scheduled),
@@ -166,12 +166,11 @@ let program_parts (p : Program.t) =
    value-domain name ("interval" / "octagon" / "auto"): an escalated run
    carries refined states and extra escalation accounting, so its report
    must never be served to (or overwrite) an interval-only run. *)
-let report_key ~hw ~annot ~strategy ~engine ~domain ~path program =
+let report_key ~hw ~annot ~engine ~domain ~path program =
   digest_parts
     ("report" :: engine :: domain :: path
     :: marshal (hw : Hw_config.t)
     :: marshal (annot : Annot.t)
-    :: Wcet_util.Fixpoint.strategy_name strategy
     :: program_parts program)
 
 (* ---- Per-function slices -------------------------------------------- *)
@@ -364,11 +363,11 @@ let write_entry store ~key ~kind payload =
 
 (* ---- Whole-program reports ------------------------------------------ *)
 
-let find_report ~hw ~annot ~strategy ~engine ~domain ~path program =
+let find_report ~hw ~annot ~engine ~domain ~path program =
   match Atomic.get store_ref with
   | None -> None
   | Some store -> (
-    let key = report_key ~hw ~annot ~strategy ~engine ~domain ~path program in
+    let key = report_key ~hw ~annot ~engine ~domain ~path program in
     match read_entry store ~key ~kind:"report" with
     | Some payload ->
       Atomic.incr s_program_hits;
@@ -379,23 +378,23 @@ let find_report ~hw ~annot ~strategy ~engine ~domain ~path program =
       Metrics.incr m_misses_program 1;
       None)
 
-let save_report ~hw ~annot ~strategy ~engine ~domain ~path program payload =
+let save_report ~hw ~annot ~engine ~domain ~path program payload =
   match Atomic.get store_ref with
   | None -> ()
   | Some store ->
     write_entry store
-      ~key:(report_key ~hw ~annot ~strategy ~engine ~domain ~path program)
+      ~key:(report_key ~hw ~annot ~engine ~domain ~path program)
       ~kind:"report" payload
 
 (* The caller could not decode a payload [find_report] returned (marshal
    layout drift not covered by the version string): reclassify the hit as
    a miss and evict the entry. *)
-let invalidate_report ~hw ~annot ~strategy ~engine ~domain ~path program =
+let invalidate_report ~hw ~annot ~engine ~domain ~path program =
   (match Atomic.get store_ref with
   | None -> ()
   | Some store ->
     evict store
-      (report_key ~hw ~annot ~strategy ~engine ~domain ~path program)
+      (report_key ~hw ~annot ~engine ~domain ~path program)
       ~code:"W0610" ~why:"cached report failed to deserialize");
   Atomic.decr s_program_hits;
   Atomic.incr s_program_misses;

@@ -63,7 +63,6 @@ val drain_diags : unit -> Diag.t list
 val find_report :
   hw:Pred32_hw.Hw_config.t ->
   annot:Wcet_annot.Annot.t ->
-  strategy:Wcet_util.Fixpoint.strategy ->
   engine:string ->
   domain:string ->
   path:string ->
@@ -73,7 +72,6 @@ val find_report :
 val save_report :
   hw:Pred32_hw.Hw_config.t ->
   annot:Wcet_annot.Annot.t ->
-  strategy:Wcet_util.Fixpoint.strategy ->
   engine:string ->
   domain:string ->
   path:string ->
@@ -86,7 +84,6 @@ val save_report :
 val invalidate_report :
   hw:Pred32_hw.Hw_config.t ->
   annot:Wcet_annot.Annot.t ->
-  strategy:Wcet_util.Fixpoint.strategy ->
   engine:string ->
   domain:string ->
   path:string ->

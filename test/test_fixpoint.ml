@@ -1,7 +1,8 @@
 (* Tests for the shared fixpoint engine (RPO priority worklist) and the
-   domain pool: worklist determinism, widening-delay behavior, the
-   RPO-beats-FIFO transfer-count property, and parallel-vs-serial equality
-   of the sharded histogram and the E1/E2 corpus tables. *)
+   domain pool: worklist determinism, widening-delay behavior, the exact
+   transfer budget, pinned transfer counts on the quickstart program, and
+   parallel-vs-serial equality of the sharded histogram and the E1/E2
+   corpus tables. *)
 
 module Fixpoint = Wcet_util.Fixpoint
 module Parallel = Wcet_util.Parallel
@@ -80,8 +81,7 @@ let test_rpo_index () =
     (index.(3) > index.(1) && index.(3) > index.(2));
   Alcotest.(check int) "unreachable gets max_int" max_int index.(4)
 
-(* A ladder of diamonds feeding a loop: enough structure that chaotic FIFO
-   iteration re-transfers nodes the RPO order visits once. *)
+(* A ladder of diamonds feeding a loop. *)
 let ladder_problem () =
   (* Nodes 0..9 chain of diamonds; 10..12 loop: 10 -> 11 -> 12 -> 10. *)
   let succs = function
@@ -108,21 +108,6 @@ let ladder_problem () =
     widening_points = (fun n -> n = 10);
     widening_delay = 2;
   }
-
-let test_rpo_fewer_transfers_than_fifo () =
-  let rpo = FP.solve ~strategy:Fixpoint.Rpo (ladder_problem ()) in
-  let fifo = FP.solve ~strategy:Fixpoint.Fifo (ladder_problem ()) in
-  (* Same fixpoint either way... *)
-  for n = 0 to 12 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "same in-state at %d" n)
-      (fifo.FP.in_state n) (rpo.FP.in_state n)
-  done;
-  (* ...but the priority worklist needs no more transfers. *)
-  Alcotest.(check bool)
-    (Printf.sprintf "rpo %d <= fifo %d" rpo.FP.transfers fifo.FP.transfers)
-    true
-    (rpo.FP.transfers <= fifo.FP.transfers)
 
 let test_deterministic () =
   let a = FP.solve (ladder_problem ()) in
@@ -183,23 +168,30 @@ let test_budget () =
     (Failure "fixpoint did not converge within budget") (fun () ->
       ignore (FPC.solve ~budget:3 (counter_problem ~widening_delay:1000)))
 
-(* The acceptance check on the paper's own artifact: analyzing the
-   quickstart program must need strictly fewer fixpoint transfers with the
-   RPO worklist than with FIFO, at an identical WCET bound. *)
-let test_quickstart_transfers () =
+(* Pinned fixpoint work on the paper's own artifact, report cache off:
+   value and cache transfers of the interval analysis under both engines,
+   and the octagon transfers of the [auto] escalation. A schedule change
+   that alters the pop order moves these numbers. *)
+let test_quickstart_pinned_counts () =
+  let module A = Wcet_core.Analyzer in
+  Wcet_core.Report_cache.disable ();
   let program = Minic.Compile.compile Harness.quickstart_source in
-  let total strategy =
-    let r = Wcet_core.Analyzer.analyze ~strategy program in
-    ( r.Wcet_core.Analyzer.wcet,
-      r.Wcet_core.Analyzer.value.Wcet_value.Analysis.transfers
-      + r.Wcet_core.Analyzer.cache.Wcet_cache.Cache_analysis.transfers )
+  let counts engine domain =
+    let r = A.analyze ~engine ~domain program in
+    ( r.A.value.Wcet_value.Analysis.transfers,
+      r.A.cache.Wcet_cache.Cache_analysis.transfers,
+      match r.A.escalation with Some e -> e.A.ei_transfers | None -> 0 )
   in
-  let wcet_rpo, transfers_rpo = total Fixpoint.Rpo in
-  let wcet_fifo, transfers_fifo = total Fixpoint.Fifo in
-  Alcotest.(check int) "same WCET bound" wcet_fifo wcet_rpo;
-  Alcotest.(check bool)
-    (Printf.sprintf "rpo %d < fifo %d" transfers_rpo transfers_fifo)
-    true (transfers_rpo < transfers_fifo)
+  let expect name want got =
+    Alcotest.(check (triple int int int)) name want got
+  in
+  expect "whole-program, interval" (32, 23, 0)
+    (counts A.Whole_program Wcet_value.Analysis.Interval);
+  expect "summary, interval" (32, 23, 0) (counts A.Summary Wcet_value.Analysis.Interval);
+  let _, _, oct_wp = counts A.Whole_program Wcet_value.Analysis.Auto in
+  let _, _, oct_sm = counts A.Summary Wcet_value.Analysis.Auto in
+  Alcotest.(check int) "whole-program, auto: octagon transfers" 41 oct_wp;
+  Alcotest.(check int) "summary, auto: octagon transfers" 41 oct_sm
 
 (* --- component-scheduled solve (solve_plan) --- *)
 
@@ -246,17 +238,46 @@ let test_solve_plan_matches_solve () =
   Alcotest.(check bool) "nothing applied without a summary" true
     (Array.for_all not info.FP.applied)
 
-let test_solve_plan_parallel_deterministic () =
-  let p, plan = ladder_plan () in
-  let a, _ = FP.solve_plan ~domains:1 ~plan p in
-  let p2, _ = ladder_plan () in
-  let b, _ = FP.solve_plan ~domains:4 ~plan p2 in
-  for n = 0 to 12 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "state %d" n)
-      (a.FP.in_state n) (b.FP.in_state n)
-  done;
-  Alcotest.(check int) "same transfers" a.FP.transfers b.FP.transfers
+(* Two loops behind one fork: 0 -> {1, 2}, 1 <-> 3, 2 <-> 4. The loops are
+   independent components of one dependency level. *)
+let fork_plan () =
+  let succs = function
+    | 0 -> [ 1; 2 ]
+    | 1 -> [ 3 ]
+    | 3 -> [ 1 ]
+    | 2 -> [ 4 ]
+    | 4 -> [ 2 ]
+    | _ -> []
+  in
+  let p =
+    {
+      FP.num_nodes = 5;
+      entries = [ (0, 1) ];
+      succs;
+      transfer = (fun n s -> s lor (1 lsl n));
+      widening_points = (fun n -> n = 1 || n = 2);
+      widening_delay = 2;
+    }
+  in
+  (p, Wcet_cfg.Callgraph.condense ~num_nodes:5 ~entries:[ 0 ] ~succs)
+
+let test_solve_plan_budget_exact () =
+  let p, plan = fork_plan () in
+  let cold, info = FP.solve_plan ~plan p in
+  let t = cold.FP.transfers in
+  let transferring comps =
+    Array.fold_left
+      (fun k cid -> if info.FP.per_comp_transfers.(cid) > 0 then k + 1 else k)
+      0 comps
+  in
+  Alcotest.(check bool) "a level holds two transferring components" true
+    (Array.exists (fun comps -> transferring comps >= 2) plan.Fixpoint.plan_levels);
+  Alcotest.check_raises
+    (Printf.sprintf "budget %d raises" (t - 1))
+    (Failure "fixpoint did not converge within budget")
+    (fun () -> ignore (FP.solve_plan ~budget:(t - 1) ~plan p));
+  let exact, _ = FP.solve_plan ~budget:t ~plan p in
+  Alcotest.(check int) (Printf.sprintf "budget %d passes" t) t exact.FP.transfers
 
 let test_solve_plan_applies_summary () =
   let p, plan = ladder_plan () in
@@ -346,19 +367,19 @@ let () =
           Alcotest.test_case "reachability" `Quick test_reachability;
           Alcotest.test_case "transfer composition" `Quick test_transfer_composition;
           Alcotest.test_case "rpo index" `Quick test_rpo_index;
-          Alcotest.test_case "rpo <= fifo transfers" `Quick test_rpo_fewer_transfers_than_fifo;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "widening delay" `Quick test_widening_delay;
           Alcotest.test_case "budget" `Quick test_budget;
-          Alcotest.test_case "quickstart: rpo < fifo" `Quick test_quickstart_transfers;
+          Alcotest.test_case "quickstart: pinned transfer counts" `Quick
+            test_quickstart_pinned_counts;
         ] );
       ( "scheduled",
         [
           Alcotest.test_case "plan shape" `Quick test_plan_shape;
           Alcotest.test_case "solve_plan = solve (cold bit-identity)" `Quick
             test_solve_plan_matches_solve;
-          Alcotest.test_case "parallel deterministic" `Quick
-            test_solve_plan_parallel_deterministic;
+          Alcotest.test_case "budget is exact across a level" `Quick
+            test_solve_plan_budget_exact;
           Alcotest.test_case "summary application" `Quick test_solve_plan_applies_summary;
         ] );
       ( "pool",

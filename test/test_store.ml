@@ -416,8 +416,7 @@ let test_undecodable_report_reclassifies_hit () =
       let program = Compile.compile quickstart_like in
       let hw = Pred32_hw.Hw_config.default in
       let annot = Wcet_annot.Annot.empty in
-      let strategy = Wcet_util.Fixpoint.Rpo in
-      Report_cache.save_report ~hw ~annot ~strategy
+      Report_cache.save_report ~hw ~annot
         ~engine:(Analyzer.engine_name Analyzer.Summary)
         ~domain:"interval" ~path:"portfolio" program "not a marshaled report";
       let metric name =
