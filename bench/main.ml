@@ -275,11 +275,7 @@ let path_portfolio_json e5 =
              e5) );
       ( "winners",
         Json.Obj
-          [
-            ("ipet", Json.Int (wins "ipet"));
-            ("csolve", Json.Int (wins "csolve"));
-            ("mc", Json.Int (wins "mc"));
-          ] );
+          [ ("ipet", Json.Int (wins "ipet")); ("mc", Json.Int (wins "mc")) ] );
     ]
 
 let write_json ~path ~domains ~samples ~tables ~samples_per_sec

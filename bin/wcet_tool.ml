@@ -241,34 +241,18 @@ let load_annot = function
 let annot_arg =
   Arg.(value & opt (some file) None & info [ "annot" ] ~doc:"Annotation file")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum [ ("summary", Analyzer.Summary); ("whole-program", Analyzer.Whole_program) ])
-        Analyzer.Summary
-    & info [ "engine" ]
-        ~doc:
-          "Fixpoint engine: $(b,summary) (bottom-up SCC-scheduled with persistent \
-           per-function summaries; the default) or $(b,whole-program) (single worklist)")
-
 let domain_arg =
   Arg.(
     value
     & opt
-        (enum
-           [
-             ("interval", Wcet_value.Analysis.Interval);
-             ("octagon", Wcet_value.Analysis.Octagon);
-             ("auto", Wcet_value.Analysis.Auto);
-           ])
+        (enum [ ("interval", Wcet_value.Analysis.Interval); ("auto", Wcet_value.Analysis.Auto) ])
         Wcet_value.Analysis.Auto
     & info [ "domain" ]
         ~doc:
-          "Value-analysis abstract domain: $(b,interval) (non-relational baseline), \
-           $(b,octagon) (relational re-solve of every function), or $(b,auto) (the default: \
-           interval first, then an octagon escalation of exactly the functions whose interval \
-           results left imprecise accesses or input-dependent loop bounds)")
+          "Value-analysis abstract domain: $(b,interval) (non-relational baseline) or \
+           $(b,auto) (the default: interval first, then an octagon escalation of exactly the \
+           functions whose interval results left imprecise accesses or input-dependent loop \
+           bounds)")
 
 let path_backend_arg =
   Arg.(
@@ -278,10 +262,9 @@ let path_backend_arg =
         ~doc:
           "Path-analysis backend: $(b,ipet) (implicit path enumeration as an ILP), $(b,mc) \
            (slicing plus bounded model checking — path-sensitive, prunes mode-infeasible \
-           paths), $(b,csolve) (structural constraint solving over the loop forest), or \
-           $(b,portfolio) (the default: race all three, take the tightest sound bound, and \
-           cross-check the results as a soundness oracle — disagreement beyond attributable \
-           slack is the E0303 fatal)")
+           paths), or $(b,portfolio) (the default: run both, take the tightest sound bound, \
+           and cross-check the results — disagreement beyond attributable slack is the E0303 \
+           fatal)")
 
 (* The bound-drift ledger: `analyze --ledger` and `check --ledger` append
    one snapshot per run; `ledger report`/`ledger diff` read the series
@@ -322,18 +305,29 @@ let ledger_append_report ~ledger ~source (report : Analyzer.report) =
 
 let analyze_cmd =
   let verbose_arg = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Print the full report") in
-  let run source annot_file hw soft_div verbose format profile trace cache_dir no_cache engine
-      domain path_backend ledger =
+  let run source annot_file hw soft_div verbose format profile trace cache_dir no_cache domain
+      path_backend ledger =
     handle_errors (fun () ->
         obs_setup ~profile ~trace;
         cache_setup ~cache_dir ~no_cache;
         let program = compile source ~soft_div in
         let annot = load_annot annot_file in
-        match Analyzer.analyze ~hw ~annot ~engine ~domain ~path_backend program with
+        match Analyzer.analyze ~hw ~annot ~domain ~path_backend program with
         | report -> (
           ledger_append_report ~ledger ~source report;
           (match format with
-          | Json_format -> print_endline (Json.to_string (Analyzer.report_to_json report))
+          | Json_format ->
+            let json =
+              match Analyzer.report_to_json report with
+              | Json.Obj fields when Wcet_obs.Obs.on () ->
+                (* Under --profile/--trace the report also carries this
+                   process's metric snapshot and span trace. *)
+                Json.Obj
+                  (fields
+                  @ [ ("metrics", Wcet_obs.Metrics.to_json ()); ("trace", Trace.to_json ()) ])
+              | json -> json
+            in
+            print_endline (Json.to_string json)
           | Text ->
             if verbose then Format.printf "%a@." Analyzer.pp_report report
             else begin
@@ -362,8 +356,8 @@ let analyze_cmd =
   Cmd.v (Cmd.info "analyze" ~doc:"Compute a WCET bound for a MiniC program")
     Term.(
       const run $ source_arg $ annot_arg $ hw_arg $ soft_div_arg $ verbose_arg $ format_arg
-      $ profile_flag $ trace_arg $ cache_dir_arg $ no_cache_arg $ engine_arg $ domain_arg
-      $ path_backend_arg $ ledger_arg)
+      $ profile_flag $ trace_arg $ cache_dir_arg $ no_cache_arg $ domain_arg $ path_backend_arg
+      $ ledger_arg)
 
 let poke_conv =
   let parse s =
@@ -708,22 +702,13 @@ let check_cmd =
       & info [ "daemon-faults" ]
           ~doc:"Daemon wire-level fault-injection trial count (0 disables the daemon campaign)")
   in
-  let path_portfolio_arg =
-    Arg.(
-      value & flag
-      & info [ "path-portfolio" ]
-          ~doc:
-            "Also re-analyze every complete scenario IPET-only and assert the portfolio bound \
-             never exceeds it (E0303 violation otherwise); per-backend bounds ride along in \
-             the $(b,--ledger) metrics")
-  in
   let run seed random faults store_faults daemon_faults format trace cache_dir no_cache domain
-      path_portfolio ledger =
+      ledger =
     handle_errors (fun () ->
         obs_setup ~profile:false ~trace;
         cache_setup ~cache_dir ~no_cache;
         let stats =
-          Check.run ~seed ~domain ~path_portfolio ~random_per_scenario:random ?ledger ()
+          Check.run ~seed ~domain ~random_per_scenario:random ?ledger ()
         in
         let campaign =
           let minic = faults / 2 in
@@ -781,8 +766,7 @@ let check_cmd =
           run the fault-injection robustness campaigns (toolchain inputs, on-disk cache store, \
           and the analysis daemon's wire protocol)")
     Term.(const run $ seed_arg $ random_arg $ faults_arg $ store_faults_arg $ daemon_faults_arg
-          $ format_arg $ trace_arg $ cache_dir_arg $ no_cache_arg $ domain_arg
-          $ path_portfolio_arg $ ledger_arg)
+          $ format_arg $ trace_arg $ cache_dir_arg $ no_cache_arg $ domain_arg $ ledger_arg)
 
 (* --- the analysis daemon ------------------------------------------------ *)
 

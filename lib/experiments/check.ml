@@ -98,7 +98,9 @@ let backend_metrics (report : Analyzer.report) =
 
 (* The standing portfolio acceptance property: the portfolio includes IPET,
    so its tightest-of-backends bound can never exceed the IPET-only bound.
-   A violation is the E0303 soundness bug surfaced as a check violation. *)
+   A violation is the E0303 soundness bug surfaced as a check violation.
+   The IPET-only re-analysis runs unchecked: its value and cache phases
+   are the checked run's, already cross-checked. *)
 let check_portfolio ~domain ~id ~variant (s : Corpus.scenario) ~annot program
     (report : Analyzer.report) acc =
   match
@@ -122,11 +124,11 @@ let check_portfolio ~domain ~id ~variant (s : Corpus.scenario) ~annot program
       else acc
     else acc
 
-let check_scenario rng ~domain ~path_portfolio ~random_per_scenario ~record ~id ~variant
-    (s : Corpus.scenario) acc =
+let check_scenario rng ~domain ~random_per_scenario ~record ~id ~variant (s : Corpus.scenario)
+    acc =
   let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
   let annot = s.Corpus.annotations program in
-  match Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain program with
+  match Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain ~checks:true program with
   | exception Analyzer.Analysis_failed ds ->
     let d =
       Diag.make Diag.Error Diag.Check ~code:"E0701"
@@ -202,15 +204,13 @@ let check_scenario rng ~domain ~path_portfolio ~random_per_scenario ~record ~id 
         { (ledger_entry ~id ~variant s ~verdict:"complete" ~bound:(Some bound)
              ~observed:!worst_observed)
           with
-          Ledger.metrics =
-            (precision @ if path_portfolio then backend_metrics report else [])
+          Ledger.metrics = precision @ backend_metrics report;
         };
       let acc = check_attribution ~id ~variant s report !acc in
-      if path_portfolio then check_portfolio ~domain ~id ~variant s ~annot program report acc
-      else acc)
+      check_portfolio ~domain ~id ~variant s ~annot program report acc)
 
-let run ?(seed = 20110318L) ?(domain = Wcet_value.Analysis.Interval) ?(path_portfolio = false)
-    ?(random_per_scenario = 8) ?ledger () =
+let run ?(seed = 20110318L) ?(domain = Wcet_value.Analysis.Interval) ?(random_per_scenario = 8)
+    ?ledger () =
   let rng = Pcg.create ~seed () in
   let entries = ref [] in
   let record e = if ledger <> None then entries := e :: !entries in
@@ -231,10 +231,10 @@ let run ?(seed = 20110318L) ?(domain = Wcet_value.Analysis.Interval) ?(path_port
     List.fold_left
       (fun acc (e : Corpus.entry) ->
         let acc =
-          check_scenario rng ~domain ~path_portfolio ~random_per_scenario ~record
-            ~id:e.Corpus.id ~variant:"conforming" e.Corpus.conforming acc
+          check_scenario rng ~domain ~random_per_scenario ~record ~id:e.Corpus.id
+            ~variant:"conforming" e.Corpus.conforming acc
         in
-        check_scenario rng ~domain ~path_portfolio ~random_per_scenario ~record ~id:e.Corpus.id
+        check_scenario rng ~domain ~random_per_scenario ~record ~id:e.Corpus.id
           ~variant:"violating" e.Corpus.violating acc)
       empty Corpus.all
   in

@@ -28,8 +28,7 @@ type stats = {
   simulations : int;  (** simulated runs compared against a bound *)
   attributed : int;  (** scenarios whose slack attribution summed exactly *)
   portfolio_wins : int;
-      (** scenarios where the portfolio bound was strictly below IPET-only
-          (zero unless [path_portfolio] was requested) *)
+      (** scenarios where the portfolio bound was strictly below IPET-only *)
   violations : Wcet_diag.Diag.t list;  (** E0601/E0804/E0303 violations *)
   diagnostics : Wcet_diag.Diag.t list;  (** W0602 inconclusive runs *)
 }
@@ -43,14 +42,15 @@ type stats = {
     set, one bound-drift snapshot per scenario is appended to that NDJSON
     file ({!Wcet_obs.Ledger}).
 
-    [path_portfolio] (default off) additionally re-analyzes every complete
-    scenario IPET-only and asserts the portfolio bound never exceeds it (a
-    violation surfaces under the E0303 code); per-backend bounds then ride
+    Every scenario is analyzed with [~checks:true] (see
+    {!Wcet_core.Analyzer.analyze}), so an oracle violation fails the
+    analysis (E0701 here). Every complete scenario is also re-analyzed
+    IPET-only, and the portfolio bound must never exceed that bound (a
+    violation surfaces under the E0303 code); per-backend bounds ride
     along in the ledger metrics as [path_bound_<backend>]. *)
 val run :
   ?seed:int64 ->
   ?domain:Wcet_value.Analysis.domain ->
-  ?path_portfolio:bool ->
   ?random_per_scenario:int ->
   ?ledger:string ->
   unit ->

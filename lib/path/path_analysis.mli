@@ -56,8 +56,11 @@ module type BACKEND = sig
   val solve : spec -> Wcet_cfg.Loops.info -> (solution, error) result
 end
 
-(** Which backend(s) an analysis run uses. *)
-type choice = Ipet | Mc | Csolve | Portfolio
+(** Which backend(s) an analysis run uses. [Portfolio] is IPET plus the
+    model checker ({!Mc}); the structural constraint solver ({!Csolve})
+    is not a choice: it joins the portfolio only in a checked run, as the
+    model checker's oracle. *)
+type choice = Ipet | Mc | Portfolio
 
 val choice_name : choice -> string
 val choice_of_string : string -> choice option

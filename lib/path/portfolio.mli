@@ -9,8 +9,10 @@
       bound below the fact-using IPET bound (facts and path pruning only
       tighten);
     - the model checker explores a subset of the constraint solver's
-      structural paths under identical weights, so mc <= csolve;
-    - under paranoid mode, a complete backend can never undercut a
+      structural paths under identical weights, so mc <= csolve (checked
+      whenever both ran — in the analyzer, only under [checks], where
+      csolve joins the portfolio as the model checker's oracle);
+    - under [paranoid], a complete backend can never undercut a
       certified witness path it is required to account for (structural
       witnesses bind non-path-sensitive backends; semantically feasible
       witnesses bind everyone).
@@ -38,8 +40,7 @@ type result = {
 
 (** [run ?paranoid ~backends spec loops] solves with every backend in list
     order on the calling domain. [paranoid] arms the witness
-    cross-check (default off; WCET_PATH_PARANOID=1 turns it on in the
-    analyzer). *)
+    cross-check (default off; the analyzer sets it in a checked run). *)
 val run :
   ?paranoid:bool ->
   backends:(module Path_analysis.BACKEND) list ->

@@ -62,8 +62,8 @@ let analyzed ~cancel params =
   let soft_div = bool_param params "soft_div" = Some true in
   let program = compile source ~soft_div in
   let annot = annot_of params in
-  Analyzer.analyze ~hw:(hw_of params) ~annot ~path_backend:(path_backend_of params) ~cancel
-    program
+  Analyzer.analyze ~hw:(hw_of params) ~annot ~domain:Wcet_value.Analysis.Auto
+    ~path_backend:(path_backend_of params) ~cancel program
 
 (* User-code MISRA violations only, as in [wcet_tool audit] (the linked
    runtime deliberately violates some rules). *)
@@ -98,7 +98,8 @@ let cache_stats () =
 let analyze_source path =
   let program = compile path ~soft_div:false in
   match
-    Analyzer.analyze ~hw:Pred32_hw.Hw_config.default ~annot:Wcet_annot.Annot.empty program
+    Analyzer.analyze ~hw:Pred32_hw.Hw_config.default ~annot:Wcet_annot.Annot.empty
+      ~domain:Wcet_value.Analysis.Auto program
   with
   | report -> Ok report
   | exception Analyzer.Analysis_failed ds -> Error ds
@@ -131,7 +132,7 @@ let standard ~cancel ~meth ~params =
       | Pred32_sim.Simulator.Faulted _ | Pred32_sim.Simulator.Out_of_fuel _ -> None
     in
     let audit =
-      match Analyzer.analyze ~hw ~annot ~cancel program with
+      match Analyzer.analyze ~hw ~annot ~domain:Wcet_value.Analysis.Auto ~cancel program with
       | report -> Misra.Audit.of_report ~misra ~annot ?coverage report
       | exception Analyzer.Analysis_failed ds -> Misra.Audit.of_failure ds
     in

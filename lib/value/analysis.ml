@@ -456,15 +456,9 @@ let run_scheduled ?(assumes = []) ?slice ?cancel ?publish (graph : Supergraph.t)
 
 (* ---- Octagon escalation --------------------------------------------- *)
 
-type domain = Interval | Octagon | Auto
+type domain = Interval | Auto
 
-let domain_name = function Interval -> "interval" | Octagon -> "octagon" | Auto -> "auto"
-
-let domain_of_string = function
-  | "interval" -> Some Interval
-  | "octagon" -> Some Octagon
-  | "auto" -> Some Auto
-  | _ -> None
+let domain_name = function Interval -> "interval" | Auto -> "auto"
 
 let m_oct_transfers =
   Metrics.counter ~labels:[ ("analysis", "octagon") ] ~name:"fixpoint_transfers"

@@ -64,13 +64,12 @@ val publish_access_metrics : access list array -> unit
 (** {2 Octagon escalation} *)
 
 (** Which abstract domain the value analysis may use: [Interval] is the
-    always-on baseline; [Octagon] forces a relational re-solve of every
-    function; [Auto] escalates only functions whose interval results left
-    imprecise accesses or input-dependent/aliased loop-bound causes. *)
-type domain = Interval | Octagon | Auto
+    always-on baseline; [Auto] escalates only functions whose interval
+    results left imprecise accesses or input-dependent/aliased loop-bound
+    causes. *)
+type domain = Interval | Auto
 
 val domain_name : domain -> string
-val domain_of_string : string -> domain option
 
 type escalation = {
   esc_funcs : string list;  (** functions that triggered the escalation *)

@@ -37,37 +37,11 @@ let m_scc_count =
 (* Which fixpoint engine drives the value and cache analyses. [Summary] is
    the default: a bottom-up component-scheduled solve over the call-graph
    condensation with persistent per-function summaries (O(changed)
-   re-analysis). [Whole_program] is the classic single-worklist solve. *)
+   re-analysis). [Whole_program] is the classic single-worklist solve, and
+   the oracle a checked run compares every summary run against (E0204). *)
 type engine = Summary | Whole_program
 
 let engine_name = function Summary -> "summary" | Whole_program -> "whole-program"
-
-(* The WCET_CACHE_PARANOID env flag cross-checks every summary-engine run
-   against a fresh whole-program solve and fails loudly (E0204) on any
-   semantic state divergence. Debug aid: the extra solves also inflate the
-   fixpoint metrics. *)
-let paranoid () =
-  match Sys.getenv_opt "WCET_CACHE_PARANOID" with
-  | Some v when v <> "" && v <> "0" -> true
-  | _ -> false
-
-(* The WCET_VALUE_PARANOID env flag cross-checks every octagon escalation
-   against the interval baseline: refined states must be leq the interval
-   states at every node, and the final WCET bound must not increase. Any
-   violation is an E0503 fatal — an escalation may only ever tighten. *)
-let value_paranoid () =
-  match Sys.getenv_opt "WCET_VALUE_PARANOID" with
-  | Some v when v <> "" && v <> "0" -> true
-  | _ -> false
-
-(* The WCET_PATH_PARANOID env flag arms the portfolio driver's witness
-   cross-check: on fact-free programs every complete backend must account
-   for the certified witness paths the others found, which forces the
-   complete bounds to agree exactly. Any violation is an E0303 fatal. *)
-let path_paranoid () =
-  match Sys.getenv_opt "WCET_PATH_PARANOID" with
-  | Some v when v <> "" && v <> "0" -> true
-  | _ -> false
 
 exception Analysis_failed of Diag.t list
 
@@ -77,12 +51,14 @@ let () =
       Some (Format.asprintf "Analysis_failed:@,%a" Diag.pp_list ds)
     | _ -> None)
 
-type phase = Decode | Loop_value | Cache | Pipeline | Path
+type phase = Decode | Loop_value | Octagon | Cache | Persistence | Pipeline | Path
 
 let phase_name = function
   | Decode -> "decoding / CFG reconstruction"
   | Loop_value -> "loop & value analysis"
+  | Octagon -> "octagon escalation"
   | Cache -> "cache analysis"
+  | Persistence -> "cache persistence analysis"
   | Pipeline -> "pipeline analysis"
   | Path -> "path analysis"
 
@@ -147,20 +123,38 @@ type report = {
 let span_name = function
   | Decode -> "decode"
   | Loop_value -> "value"
+  | Octagon -> "octagon"
   | Cache -> "cache"
+  | Persistence -> "persistence"
   | Pipeline -> "pipeline"
   | Path -> "path"
 
-(* [span] overrides the trace-span name when one phase covers several
-   sub-steps (the Cache phase times both classification and persistence). *)
-let timed ?span phases phase f =
-  let name = match span with Some s -> s | None -> span_name phase in
-  Trace.with_span ~cat:"analyzer" name (fun () ->
+(* What the phase functions of one analysis share: the diagnostics, the
+   timed phases and the holes collected so far, and the run's inputs. *)
+type ctx = {
+  c : Diag.collector;
+  hw : Hw_config.t;
+  annot : Annot.t;
+  cancel : (unit -> bool) option;
+  mutable phases : (phase * float) list;  (* most recent first *)
+  mutable holes : hole list;  (* most recent first *)
+}
+
+let timed ctx phase f =
+  Trace.with_span ~cat:"analyzer" (span_name phase) (fun () ->
       let t0 = Wcet_util.Mono_clock.now () in
       let result = f () in
       let dt = Wcet_util.Mono_clock.now () -. t0 in
-      phases := (phase, dt) :: !phases;
+      ctx.phases <- (phase, dt) :: ctx.phases;
       result)
+
+(* The token reaches the value/cache fixpoints (polled per transfer); the
+   remaining phases poll it at their boundary so a deadline that expires
+   between fixpoints still cancels before the next phase starts. *)
+let check_cancel ctx =
+  match ctx.cancel with
+  | Some c when c () -> raise Wcet_util.Fixpoint.Cancelled
+  | Some _ | None -> ()
 
 (* A fatal problem: record the diagnostic and abort with everything
    collected so far. *)
@@ -392,38 +386,31 @@ let validate_loop_places c program (annot : Annot.t) =
       | Annot.At_addr _ -> ())
     annot.Annot.loop_bounds
 
-let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine = Summary)
-    ?(domain = Analysis.Interval) ?(path_backend = Path_analysis.Portfolio) ?cancel program =
-  (* The token reaches the value/cache fixpoints (polled per transfer); the
-     remaining phases poll it at their boundary so a deadline that expires
-     between fixpoints still cancels before the next phase starts. *)
-  let check_cancel () =
-    match cancel with
-    | Some c when c () -> raise Wcet_util.Fixpoint.Cancelled
-    | Some _ | None -> ()
-  in
-  let c = Diag.collector () in
-  let phases = ref [] in
-  let holes = ref [] in
-  let resolver = resolver_of_annot c program annot in
-  let assumes = assumes_of_annot c program annot in
-  validate_loop_places c program annot;
+
+(* ---- Figure 1, one function per phase --------------------------------- *)
+
+(* Decoding / CFG reconstruction: the supergraph with iterative
+   indirect-call resolution, one hole per remaining unresolved site, and
+   the loop nest. *)
+let decode ctx program =
+  let c = ctx.c in
+  let resolver = resolver_of_annot c program ctx.annot in
+  let assumes = assumes_of_annot c program ctx.annot in
+  validate_loop_places c program ctx.annot;
   let graph =
-    timed phases Decode (fun () ->
+    timed ctx Decode (fun () ->
         try Resolve_iter.build_graceful ~resolver ~assumes program
         with Supergraph.Build_error msg ->
           let code, hint = build_error_code msg in
           fatal c Diag.Decode ~code ?hint "%s: %s" (phase_name Decode) msg)
   in
-  (* Remaining unresolved indirect control flow: analysis holes, one
-     diagnostic per distinct site. *)
   let seen_sites = Hashtbl.create 4 in
   List.iter
     (fun (nid, site) ->
       if not (Hashtbl.mem seen_sites site) then begin
         Hashtbl.add seen_sites site ();
         let func = graph.Supergraph.nodes.(nid).Supergraph.func in
-        holes := Hole_call { site; func } :: !holes;
+        ctx.holes <- Hole_call { site; func } :: ctx.holes;
         warn c Diag.Decode ~code:"W0301"
           ~loc:(Diag.at_addr ~func site)
           ~hint:(Printf.sprintf "calltargets at 0x%x = <function>, <function>" site)
@@ -437,7 +424,7 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine 
         | Some f -> f.Program.name
         | None -> "?"
       in
-      holes := Hole_jump { site; func } :: !holes;
+      ctx.holes <- Hole_jump { site; func } :: ctx.holes;
       warn c Diag.Decode ~code:"W0304"
         ~loc:(Diag.at_addr ~func site)
         ~hint:"setjmp auto   # if the jump implements longjmp"
@@ -447,20 +434,99 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine 
   if Wcet_obs.Obs.on () then
     Metrics.set m_scc_count
       (Wcet_cfg.Callgraph.scc_count (Wcet_cfg.Callgraph.of_supergraph graph));
-  (* Per-function summary rows from the persistent cache: components whose
-     members all carry rows recorded under the inputs delivered this run
-     are applied without re-transferring a node. *)
-  let slices =
-    match engine with
-    | Summary -> Report_cache.load_slices ~hw ~annot ~assumes graph
-    | Whole_program -> None
+  (assumes, graph, loops)
+
+(* The functions [Auto] re-solves under the octagon: those whose interval
+   results left imprecise data accesses or input-dependent/aliased
+   loop-bound causes. *)
+let funcs_to_escalate (graph : Supergraph.t) (loops : Loops.info) (value : Analysis.result)
+    (bounds : Loop_bounds.t) =
+  let tbl : (string, unit) Hashtbl.t = Hashtbl.create 8 in
+  Array.iteri
+    (fun nid accs ->
+      if List.exists (fun (a : Analysis.access) -> Aval.singleton a.Analysis.addr = None) accs
+      then Hashtbl.replace tbl graph.Supergraph.nodes.(nid).Supergraph.func ())
+    value.Analysis.accesses;
+  Array.iteri
+    (fun li verdict ->
+      match verdict with
+      | Loop_bounds.Unbounded ((Loop_bounds.Input_dependent | Loop_bounds.Aliased_counter), _) ->
+        let hn = graph.Supergraph.nodes.(loops.Loops.loops.(li).Loops.header) in
+        Hashtbl.replace tbl hn.Supergraph.func ()
+      | _ -> ())
+    bounds.Loop_bounds.per_loop;
+  List.sort compare (Hashtbl.fold (fun f () acc -> f :: acc) tbl [])
+
+(* Fold an escalation back over the interval results: a loop the interval
+   pass bounded keeps the tighter of the two bounds, one it could not bound
+   is discharged by a relational bound, and every access whose address
+   interval strictly tightened is recorded (the material for the auditor's
+   [discharged-by: octagon] marks). *)
+let merge_escalation ~domain (graph : Supergraph.t) (loops : Loops.info)
+    (value : Analysis.result) (bounds : Loop_bounds.t) (esc : Analysis.escalation)
+    (refined_bounds : Loop_bounds.t) =
+  let discharged = ref [] in
+  let per_loop =
+    Array.mapi
+      (fun li refined ->
+        match (bounds.Loop_bounds.per_loop.(li), refined) with
+        | Loop_bounds.Bounded a, Loop_bounds.Bounded b -> Loop_bounds.Bounded (min a b)
+        | Loop_bounds.Unbounded (cause, _), (Loop_bounds.Bounded _ as b) ->
+          let hn = graph.Supergraph.nodes.(loops.Loops.loops.(li).Loops.header) in
+          discharged :=
+            (hn.Supergraph.block.Func_cfg.entry, hn.Supergraph.func, Loop_bounds.cause_name cause)
+            :: !discharged;
+          b
+        | base, _ -> base)
+      refined_bounds.Loop_bounds.per_loop
   in
-  (* Under a relational domain the value_accesses precision counters are
-     published once, from whichever result ends up final (escalated or
-     not); under the interval domain the run publishes as before. *)
+  let tightened = ref [] in
+  Array.iteri
+    (fun nid base_accs ->
+      let refined_accs = esc.Analysis.esc_result.Analysis.accesses.(nid) in
+      List.iter
+        (fun (b : Analysis.access) ->
+          match
+            List.find_opt
+              (fun (r : Analysis.access) -> r.Analysis.insn_index = b.Analysis.insn_index)
+              refined_accs
+          with
+          | Some r when r.Analysis.addr <> b.Analysis.addr ->
+            tightened :=
+              ( b.Analysis.insn_addr,
+                graph.Supergraph.nodes.(nid).Supergraph.func,
+                b.Analysis.addr,
+                r.Analysis.addr )
+              :: !tightened
+          | _ -> ())
+        base_accs)
+    value.Analysis.accesses;
+  ( {
+      ei_domain = Analysis.domain_name domain;
+      ei_funcs = esc.Analysis.esc_funcs;
+      ei_transfers = esc.Analysis.esc_transfers;
+      ei_slots = esc.Analysis.esc_slots;
+      ei_discharged_loops = List.rev !discharged;
+      ei_tightened_accesses = List.rev !tightened;
+    },
+    { Loop_bounds.per_loop } )
+
+(* Loop and value analysis. The interval pass runs everywhere; under
+   [Auto] the functions {!funcs_to_escalate} names are re-solved under the
+   interval x octagon reduced product, and the refined result replaces the
+   interval one for every downstream phase. The refinement is a per-node
+   meet with the interval states, so it can only tighten (a checked run
+   asserts this, E0503). Returns the escalation record, the final value
+   result and loop bounds, and the summary-slice info to persist — [None]
+   when escalated, because slices persist interval-domain facts only and
+   refined states must never reach a warm interval run. *)
+let value_phase ctx ~engine ~domain ~assumes ~slices graph loops =
+  (* Under [Auto] the value_accesses precision counters are published once,
+     from whichever result ends up final (escalated or not). *)
   let publish = domain = Analysis.Interval in
-  let value, vinfo, derived_bounds =
-    timed phases Loop_value (fun () ->
+  let cancel = ctx.cancel in
+  let value, vinfo, bounds =
+    timed ctx Loop_value (fun () ->
         match
           let value, vinfo =
             match engine with
@@ -471,198 +537,81 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine 
                   ?cancel ~publish graph loops
               in
               (value, Some vinfo)
-            | Whole_program ->
-              (Analysis.run ~assumes ?cancel ~publish graph loops, None)
+            | Whole_program -> (Analysis.run ~assumes ?cancel ~publish graph loops, None)
           in
           (value, vinfo, Loop_bounds.analyze value loops)
         with
         | result -> result
-        | exception Failure msg -> fatal c Diag.Loop_value ~code:"E0203" "%s" msg)
+        | exception Failure msg -> fatal ctx.c Diag.Loop_value ~code:"E0203" "%s" msg)
   in
-  (* ---- Octagon escalation --------------------------------------------
-     The interval pass above ran everywhere. Under [Octagon]/[Auto], the
-     functions whose interval results left imprecise accesses or
-     input-dependent/aliased loop-bound causes are re-solved under the
-     interval x octagon reduced product, and the refined result replaces
-     the base one for every downstream phase (cache, pipeline, IPET). The
-     refinement is a per-node meet with the base states, so it can only
-     tighten — asserted under WCET_VALUE_PARANOID below. *)
-  let base_value = value and base_bounds = derived_bounds in
-  let funcs_to_escalate () =
-    let tbl : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-    (match domain with
-    | Analysis.Interval -> ()
-    | Analysis.Octagon ->
-      Array.iter
-        (fun (n : Supergraph.node) -> Hashtbl.replace tbl n.Supergraph.func ())
-        graph.Supergraph.nodes
-    | Analysis.Auto ->
-      Array.iteri
-        (fun nid accs ->
-          if
-            List.exists
-              (fun (a : Analysis.access) -> Aval.singleton a.Analysis.addr = None)
-              accs
-          then Hashtbl.replace tbl graph.Supergraph.nodes.(nid).Supergraph.func ())
-        value.Analysis.accesses;
-      Array.iteri
-        (fun li verdict ->
-          match verdict with
-          | Loop_bounds.Unbounded
-              ((Loop_bounds.Input_dependent | Loop_bounds.Aliased_counter), _) ->
-            let hn = graph.Supergraph.nodes.(loops.Loops.loops.(li).Loops.header) in
-            Hashtbl.replace tbl hn.Supergraph.func ()
-          | _ -> ())
-        derived_bounds.Loop_bounds.per_loop);
-    List.sort compare (Hashtbl.fold (fun f () acc -> f :: acc) tbl [])
+  let funcs =
+    match domain with
+    | Analysis.Interval -> []
+    | Analysis.Auto -> funcs_to_escalate graph loops value bounds
   in
-  let escalation, value, derived_bounds, vinfo =
-    match funcs_to_escalate () with
-    | [] ->
-      if not publish then Analysis.publish_access_metrics value.Analysis.accesses;
-      (None, value, derived_bounds, vinfo)
-    | funcs -> (
-      match
-        timed ~span:"octagon" phases Loop_value (fun () ->
-            let esc = Analysis.escalate ~assumes ?cancel ~funcs value loops in
-            let refined =
-              Loop_bounds.analyze ~rel:esc.Analysis.esc_rel esc.Analysis.esc_result loops
-            in
-            (esc, refined))
-      with
-      | exception Failure msg ->
-        (* Non-convergence within the budget: keep the sound interval
-           result; the escalation is an optimisation, never a requirement. *)
-        warn c Diag.Loop_value ~code:"W0501"
-          "octagon escalation abandoned (%s); keeping the interval result" msg;
-        Analysis.publish_access_metrics value.Analysis.accesses;
-        (None, value, derived_bounds, vinfo)
-      | esc, refined_bounds ->
-        let refined_value = esc.Analysis.esc_result in
-        (* Merge verdicts: a loop the interval pass bounded keeps the
-           tighter of the two bounds; one it could not bound is discharged
-           by a relational bound. *)
-        let discharged = ref [] in
-        let per_loop =
-          Array.mapi
-            (fun li refined ->
-              match (derived_bounds.Loop_bounds.per_loop.(li), refined) with
-              | Loop_bounds.Bounded a, Loop_bounds.Bounded b -> Loop_bounds.Bounded (min a b)
-              | Loop_bounds.Unbounded (cause, _), (Loop_bounds.Bounded _ as b) ->
-                let hn = graph.Supergraph.nodes.(loops.Loops.loops.(li).Loops.header) in
-                discharged :=
-                  ( hn.Supergraph.block.Func_cfg.entry,
-                    hn.Supergraph.func,
-                    Loop_bounds.cause_name cause )
-                  :: !discharged;
-                b
-              | base, _ -> base)
-            refined_bounds.Loop_bounds.per_loop
-        in
-        (* Accesses whose address interval strictly tightened: the material
-           for the auditor's [discharged-by: octagon] marks. *)
-        let tightened = ref [] in
-        Array.iteri
-          (fun nid base_accs ->
-            let refined_accs = refined_value.Analysis.accesses.(nid) in
-            List.iter
-              (fun (b : Analysis.access) ->
-                match
-                  List.find_opt
-                    (fun (r : Analysis.access) -> r.Analysis.insn_index = b.Analysis.insn_index)
-                    refined_accs
-                with
-                | Some r when r.Analysis.addr <> b.Analysis.addr ->
-                  tightened :=
-                    ( b.Analysis.insn_addr,
-                      graph.Supergraph.nodes.(nid).Supergraph.func,
-                      b.Analysis.addr,
-                      r.Analysis.addr )
-                    :: !tightened
-                | _ -> ())
-              base_accs)
-          value.Analysis.accesses;
-        let info =
-          {
-            ei_domain = Analysis.domain_name domain;
-            ei_funcs = esc.Analysis.esc_funcs;
-            ei_transfers = esc.Analysis.esc_transfers;
-            ei_slots = esc.Analysis.esc_slots;
-            ei_discharged_loops = List.rev !discharged;
-            ei_tightened_accesses = List.rev !tightened;
-          }
-        in
-        Diag.add c
-          (Diag.make Diag.Info Diag.Loop_value ~code:"W0501"
-             (Printf.sprintf
-                "value analysis escalated to the octagon domain for %d function(s): %s"
-                (List.length info.ei_funcs)
-                (String.concat ", " info.ei_funcs)));
-        Analysis.publish_access_metrics refined_value.Analysis.accesses;
-        (* [vinfo] is dropped: summary slices persist interval-domain facts
-           only, and the refined states must never reach a warm interval
-           run (see Report_cache). *)
-        (Some info, refined_value, { Loop_bounds.per_loop }, None))
-  in
-  (* Paranoid escalation cross-check, part 1: the refined states must be
-     leq the interval states at every node (the meet guarantees it by
-     construction — this asserts the guarantee held). *)
-  if escalation <> None && value_paranoid () then begin
-    let leq_opt a b =
-      match (a, b) with
-      | None, _ -> true
-      | Some _, None -> false
-      | Some a, Some b -> Wcet_value.State.leq a b
-    in
-    Array.iteri
-      (fun i _ ->
-        if
-          (not (leq_opt value.Analysis.node_in.(i) base_value.Analysis.node_in.(i)))
-          || not (leq_opt value.Analysis.node_out.(i) base_value.Analysis.node_out.(i))
-        then
-          fatal c Diag.Loop_value ~code:"E0503"
-            ~loc:(Diag.in_func graph.Supergraph.nodes.(i).Supergraph.func)
-            "octagon-refined value state is not below the interval state at node %d" i)
-      graph.Supergraph.nodes;
-    Array.iteri
-      (fun li verdict ->
-        match (base_bounds.Loop_bounds.per_loop.(li), verdict) with
-        | Loop_bounds.Bounded a, Loop_bounds.Bounded b when b > a ->
-          fatal c Diag.Loop_value ~code:"E0503"
-            "octagon loop bound %d exceeds the interval bound %d for loop %d" b a li
-        | Loop_bounds.Bounded _, Loop_bounds.Unbounded _ ->
-          fatal c Diag.Loop_value ~code:"E0503"
-            "octagon escalation lost the interval bound of loop %d" li
-        | _ -> ())
-      derived_bounds.Loop_bounds.per_loop
-  end;
-  (* Overlay annotation loop bounds on the derived verdicts. *)
-  let effective_bounds = ref [] in
-  let unbounded_loops = ref [] in
+  match funcs with
+  | [] ->
+    if not publish then Analysis.publish_access_metrics value.Analysis.accesses;
+    (None, value, bounds, vinfo)
+  | funcs -> (
+    match
+      timed ctx Octagon (fun () ->
+          let esc = Analysis.escalate ~assumes ?cancel ~funcs value loops in
+          (esc, Loop_bounds.analyze ~rel:esc.Analysis.esc_rel esc.Analysis.esc_result loops))
+    with
+    | exception Failure msg ->
+      (* Non-convergence within the budget: keep the sound interval
+         result; the escalation is an optimisation, never a requirement. *)
+      warn ctx.c Diag.Loop_value ~code:"W0501"
+        "octagon escalation abandoned (%s); keeping the interval result" msg;
+      Analysis.publish_access_metrics value.Analysis.accesses;
+      (None, value, bounds, vinfo)
+    | esc, refined_bounds ->
+      let info, bounds =
+        merge_escalation ~domain graph loops value bounds esc refined_bounds
+      in
+      Diag.add ctx.c
+        (Diag.make Diag.Info Diag.Loop_value ~code:"W0501"
+           (Printf.sprintf "value analysis escalated to the octagon domain for %d function(s): %s"
+              (List.length info.ei_funcs)
+              (String.concat ", " info.ei_funcs)));
+      let refined = esc.Analysis.esc_result in
+      Analysis.publish_access_metrics refined.Analysis.accesses;
+      (Some info, refined, bounds, None))
+
+(* Overlay the annotation loop bounds on the derived verdicts, degrade the
+   loops left unbounded and the irreducible regions without user flow
+   facts to holes, and collect the flow facts the path phase consumes.
+   [effective] comes out most recent first, as the report has always kept
+   it. *)
+let flow_phase ctx program (graph : Supergraph.t) (loops : Loops.info) value
+    (bounds : Loop_bounds.t) =
+  let c = ctx.c in
+  let effective = ref [] and unbounded = ref [] in
   Array.iteri
     (fun li verdict ->
       let annotated =
         List.filter_map
           (fun (place, bound) ->
             if loop_matches_place graph program loops li place then Some bound else None)
-          annot.Annot.loop_bounds
+          ctx.annot.Annot.loop_bounds
       in
       let annotated = match annotated with [] -> None | bs -> Some (List.fold_left min max_int bs) in
       match (verdict, annotated) with
-      | Loop_bounds.Bounded b, Some a -> effective_bounds := (li, min b a) :: !effective_bounds
-      | Loop_bounds.Bounded b, None -> effective_bounds := (li, b) :: !effective_bounds
-      | Loop_bounds.Unbounded _, Some a -> effective_bounds := (li, a) :: !effective_bounds
+      | Loop_bounds.Bounded b, Some a -> effective := (li, min b a) :: !effective
+      | Loop_bounds.Bounded b, None -> effective := (li, b) :: !effective
+      | Loop_bounds.Unbounded _, Some a -> effective := (li, a) :: !effective
       | Loop_bounds.Unbounded (_, reason), None ->
         (* Loops of unreachable code are irrelevant. *)
         if Analysis.reachable value loops.Loops.loops.(li).Loops.header then begin
-          unbounded_loops := (li, reason) :: !unbounded_loops;
+          unbounded := (li, reason) :: !unbounded;
           (* Degrade: exclude the loop's iterations (back-edge count 0) so
              every other function still gets a bound; the result is partial. *)
-          effective_bounds := (li, 0) :: !effective_bounds;
+          effective := (li, 0) :: !effective;
           let hn = graph.Supergraph.nodes.(loops.Loops.loops.(li).Loops.header) in
           let header = hn.Supergraph.block.Func_cfg.entry in
           let func = hn.Supergraph.func in
-          holes := Hole_loop { header; func; reason } :: !holes;
+          ctx.holes <- Hole_loop { header; func; reason } :: ctx.holes;
           warn c Diag.Loop_value ~code:"W0302"
             ~loc:(Diag.at_addr ~func header)
             ~hint:(Printf.sprintf "loop at 0x%x bound <N>" header)
@@ -670,13 +619,11 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine 
              excluded from the bound"
             reason
         end)
-    derived_bounds.Loop_bounds.per_loop;
-  let facts = facts_of_annot c graph program annot in
+    bounds.Loop_bounds.per_loop;
+  let facts = facts_of_annot c graph program ctx.annot in
   (* Irreducible regions without user flow facts: degrade to one pass per
      block so the path problem stays bounded; report the hole. *)
-  let user_fact_nodes =
-    List.concat_map (fun f -> List.map fst f.Ipet.fact_coeffs) facts
-  in
+  let user_fact_nodes = List.concat_map (fun f -> List.map fst f.Ipet.fact_coeffs) facts in
   let synthetic_facts =
     List.concat_map
       (fun scc ->
@@ -685,11 +632,9 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine 
           let func = graph.Supergraph.nodes.(List.hd scc).Supergraph.func in
           let blocks =
             List.sort_uniq compare
-              (List.map
-                 (fun n -> graph.Supergraph.nodes.(n).Supergraph.block.Func_cfg.entry)
-                 scc)
+              (List.map (fun n -> graph.Supergraph.nodes.(n).Supergraph.block.Func_cfg.entry) scc)
           in
-          holes := Hole_irreducible { blocks; func } :: !holes;
+          ctx.holes <- Hole_irreducible { blocks; func } :: ctx.holes;
           warn c Diag.Loop_value ~code:"W0303"
             ~loc:(Diag.at_addr ~func (List.hd blocks))
             ~hint:
@@ -700,185 +645,130 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine 
             (List.length scc);
           List.map
             (fun n ->
-              {
-                Ipet.fact_coeffs = [ (n, 1) ];
-                fact_bound = 1;
-                fact_label = "degradation: irreducible region";
-              })
+              { Ipet.fact_coeffs = [ (n, 1) ]; fact_bound = 1;
+                fact_label = "degradation: irreducible region" })
             scc
         end)
       loops.Loops.irreducible
   in
-  check_cancel ();
-  let region_hints = region_hint_table c program annot graph in
+  (!effective, !unbounded, facts @ synthetic_facts)
+
+(* Cache analysis (must/may classification) and then persistence. Cache
+   rows are gated on the value fixpoint: a row is only offered at nodes
+   whose value states converged to the ones recorded with it, because the
+   cache transfer replays this run's access sets (Report_cache.cache_slice). *)
+let cache_phase ctx ~engine ~slices program graph loops value =
+  check_cancel ctx;
+  let region_hints = region_hint_table ctx.c program ctx.annot graph in
+  let cancel = ctx.cancel in
   let cache, cinfo =
-    (* Cache rows are gated on the value fixpoint: a row is only offered at
-       nodes whose value states converged to the ones recorded with it,
-       because the cache transfer replays this run's access sets
-       (Report_cache.cache_slice). *)
-    timed phases Cache (fun () ->
+    timed ctx Cache (fun () ->
         match engine with
         | Summary ->
           let cache, cinfo =
             Cache_analysis.run_scheduled
               ?slice:(Option.map (fun s -> Report_cache.cache_slice s value) slices)
-              ?cancel hw value ~region_hints
+              ?cancel ctx.hw value ~region_hints
           in
           (cache, Some cinfo)
-        | Whole_program -> (Cache_analysis.run ?cancel hw value ~region_hints, None))
+        | Whole_program -> (Cache_analysis.run ?cancel ctx.hw value ~region_hints, None))
   in
-  (* Paranoid cross-check: re-solve whole-program and require semantic
-     state equality at every node. Divergence means a summary was applied
-     where it should not have been — fail loudly rather than risk an
-     unsound bound. *)
-  (* (Skipped under an escalation: the states downstream are refined, so a
-     whole-program interval solve is no longer the comparison baseline.) *)
-  if engine = Summary && paranoid () && escalation = None then begin
-    let eq_opt eq a b =
-      match (a, b) with
-      | None, None -> true
-      | Some a, Some b -> eq a b
-      | None, Some _ | Some _, None -> false
-    in
-    let wp_value = Analysis.run ~assumes graph loops in
-    let n = Array.length graph.Supergraph.nodes in
-    for i = 0 to n - 1 do
-      if
-        (not
-           (eq_opt Wcet_value.Summary.equal_state value.Analysis.node_in.(i)
-              wp_value.Analysis.node_in.(i)))
-        || not
-             (eq_opt Wcet_value.Summary.equal_state value.Analysis.node_out.(i)
-                wp_value.Analysis.node_out.(i))
-      then
-        fatal c Diag.Loop_value ~code:"E0204"
-          ~loc:(Diag.in_func graph.Supergraph.nodes.(i).Supergraph.func)
-          "summary-engine value state diverges from the whole-program solve at node %d" i
-    done;
-    let wp_cache = Cache_analysis.run hw wp_value ~region_hints in
-    for i = 0 to n - 1 do
-      if
-        (not
-           (eq_opt Cache_analysis.equal_cstate cache.Cache_analysis.node_in.(i)
-              wp_cache.Cache_analysis.node_in.(i)))
-        || not
-             (eq_opt Cache_analysis.equal_cstate cache.Cache_analysis.node_out.(i)
-                wp_cache.Cache_analysis.node_out.(i))
-      then
-        fatal c Diag.Cache ~code:"E0204"
-          ~loc:(Diag.in_func graph.Supergraph.nodes.(i).Supergraph.func)
-          "summary-engine cache state diverges from the whole-program solve at node %d" i
-    done
-  end;
-  check_cancel ();
+  check_cancel ctx;
   let persistence =
-    timed ~span:"persistence" phases Cache (fun () ->
-        Wcet_cache.Persistence.compute hw value loops cache)
+    timed ctx Persistence (fun () -> Wcet_cache.Persistence.compute ctx.hw value loops cache)
   in
-  let timing =
-    timed phases Pipeline (fun () -> Block_timing.compute hw value cache ~persistence)
+  (cache, cinfo, persistence)
+
+let backend_runs_of (res : Portfolio.result) ~winner =
+  List.map
+    (fun (r : Portfolio.run) ->
+      {
+        br_name = r.Portfolio.r_name;
+        br_bound = (match r.Portfolio.r_outcome with Ok s -> Some s.Ipet.wcet | Error _ -> None);
+        br_error =
+          (match r.Portfolio.r_outcome with
+          | Ok _ -> None
+          | Error e -> Some (e.Path_analysis.err_code, e.Path_analysis.err_detail));
+        br_wall_ms = r.Portfolio.r_wall_ms;
+        br_winner = r.Portfolio.r_name = winner;
+      })
+    res.Portfolio.p_runs
+
+(* No backend produced a bound: fail with IPET's error when it has one,
+   else with the first backend error. *)
+let path_failure ctx (res : Portfolio.result) =
+  let error_of r = match r.Portfolio.r_outcome with Error e -> Some e | Ok _ -> None in
+  let e =
+    match List.find_opt (fun r -> r.Portfolio.r_name = "ipet") res.Portfolio.p_runs with
+    | Some { Portfolio.r_outcome = Error e; _ } -> e
+    | _ -> (
+      match List.find_map error_of res.Portfolio.p_runs with
+      | Some e -> e
+      | None -> Path_analysis.internal "no path backend was configured")
   in
-  check_cancel ();
+  let msg = Option.value ~default:"path analysis failed" (Diag.describe e.Path_analysis.err_code) in
+  fatal ctx.c Diag.Path ~code:e.Path_analysis.err_code ~hint:e.Path_analysis.err_detail "%s: %s"
+    (phase_name Path) msg
+
+(* Path analysis. The production portfolio is IPET plus the model checker;
+   a checked run adds the structural constraint solver as the model
+   checker's oracle (mc <= csolve) and arms the witness cross-check. A
+   sound csolve can never win a run that passes the cross-check (see
+   {!Portfolio}), so checked and unchecked runs report the same bound and
+   the same winner. *)
+let path_phase ctx ~checks ~path_backend (spec : Ipet.spec) loops =
+  check_cancel ctx;
+  timed ctx Path (fun () ->
+      let backends : (module Path_analysis.BACKEND) list =
+        match path_backend with
+        | Path_analysis.Ipet -> [ (module Ipet) ]
+        | Path_analysis.Mc -> [ (module Wcet_path.Mc) ]
+        | Path_analysis.Portfolio ->
+          (module Ipet) :: (module Wcet_path.Mc)
+          :: (if checks then [ (module Wcet_path.Csolve) ] else [])
+      in
+      let res = Portfolio.run ~paranoid:checks ~backends spec loops in
+      (* In portfolio mode a budget-exhausted backend is excluded with a
+         warning; a single requested backend failing is fatal. *)
+      if path_backend = Path_analysis.Portfolio then
+        List.iter
+          (fun b ->
+            warn ctx.c Diag.Path ~code:"W0305"
+              "path backend %s is intractable here; the portfolio continues without it" b)
+          res.Portfolio.p_intractable;
+      if res.Portfolio.p_disagreements <> [] then
+        fatal ctx.c Diag.Path ~code:"E0303" "%s: %s" (phase_name Path)
+          (String.concat "; " res.Portfolio.p_disagreements);
+      match res.Portfolio.p_best with
+      | Some (winner, sol) -> (sol, backend_runs_of res ~winner)
+      | None -> path_failure ctx res)
+
+let analyze_inner ~hw ~annot ~engine ~domain ~path_backend ~checks ?cancel program =
+  let ctx = { c = Diag.collector (); hw; annot; cancel; phases = []; holes = [] } in
+  let assumes, graph, loops = decode ctx program in
+  (* Per-function summary rows from the persistent cache: components whose
+     members all carry rows recorded under the inputs delivered this run
+     are applied without re-transferring a node. *)
+  let slices =
+    match engine with
+    | Summary -> Report_cache.load_slices ~hw ~annot ~assumes graph
+    | Whole_program -> None
+  in
+  let escalation, value, derived_bounds, vinfo =
+    value_phase ctx ~engine ~domain ~assumes ~slices graph loops
+  in
+  let effective_bounds, unbounded_loops, facts =
+    flow_phase ctx program graph loops value derived_bounds
+  in
+  let cache, cinfo, persistence = cache_phase ctx ~engine ~slices program graph loops value in
+  let timing = timed ctx Pipeline (fun () -> Block_timing.compute hw value cache ~persistence) in
   let solution, backend_runs =
-    timed phases Path (fun () ->
-        let spec =
-          {
-            Ipet.value;
-            times = timing.Block_timing.wcet;
-            loop_bounds = !effective_bounds;
-            facts = facts @ synthetic_facts;
-          }
-        in
-        let backends : (module Path_analysis.BACKEND) list =
-          match path_backend with
-          | Path_analysis.Ipet -> [ (module Ipet) ]
-          | Path_analysis.Csolve -> [ (module Wcet_path.Csolve) ]
-          | Path_analysis.Mc -> [ (module Wcet_path.Mc) ]
-          | Path_analysis.Portfolio ->
-            [ (module Ipet); (module Wcet_path.Csolve); (module Wcet_path.Mc) ]
-        in
-        let res = Portfolio.run ~paranoid:(path_paranoid ()) ~backends spec loops in
-        (* In portfolio mode a budget-exhausted model checker is excluded
-           with a warning; a single requested backend failing is fatal. *)
-        if path_backend = Path_analysis.Portfolio then
-          List.iter
-            (fun b ->
-              warn c Diag.Path ~code:"W0305"
-                "path backend %s is intractable here; the portfolio continues without it" b)
-            res.Portfolio.p_intractable;
-        (match res.Portfolio.p_disagreements with
-        | [] -> ()
-        | ds ->
-          fatal c Diag.Path ~code:"E0303" "%s: %s" (phase_name Path)
-            (String.concat "; " ds));
-        match res.Portfolio.p_best with
-        | Some (wname, sol) ->
-          let runs =
-            List.map
-              (fun (r : Portfolio.run) ->
-                {
-                  br_name = r.Portfolio.r_name;
-                  br_bound =
-                    (match r.Portfolio.r_outcome with
-                    | Ok s -> Some s.Ipet.wcet
-                    | Error _ -> None);
-                  br_error =
-                    (match r.Portfolio.r_outcome with
-                    | Ok _ -> None
-                    | Error e ->
-                      Some (e.Path_analysis.err_code, e.Path_analysis.err_detail));
-                  br_wall_ms = r.Portfolio.r_wall_ms;
-                  br_winner = r.Portfolio.r_name = wname;
-                })
-              res.Portfolio.p_runs
-          in
-          (sol, runs)
-        | None ->
-          let e =
-            match
-              List.find_opt (fun r -> r.Portfolio.r_name = "ipet") res.Portfolio.p_runs
-            with
-            | Some { Portfolio.r_outcome = Error e; _ } -> e
-            | _ -> (
-              match
-                List.find_map
-                  (fun r ->
-                    match r.Portfolio.r_outcome with Error e -> Some e | Ok _ -> None)
-                  res.Portfolio.p_runs
-              with
-              | Some e -> e
-              | None -> Path_analysis.internal "no path backend was configured")
-          in
-          let msg =
-            Option.value
-              ~default:"path analysis failed"
-              (Diag.describe e.Path_analysis.err_code)
-          in
-          fatal c Diag.Path ~code:e.Path_analysis.err_code
-            ~hint:e.Path_analysis.err_detail "%s: %s" (phase_name Path) msg)
+    path_phase ctx ~checks ~path_backend
+      { Ipet.value; times = timing.Block_timing.wcet; loop_bounds = effective_bounds; facts }
+      loops
   in
-  (* Paranoid escalation cross-check, part 2: a full interval re-analysis
-     must not produce a smaller bound than the escalated run — relational
-     precision may only ever tighten the WCET. Only a [Complete] interval
-     bound is comparable: a [Partial] one excludes the very holes (e.g.
-     loop iterations beyond the first) the escalation discharged, so it is
-     legitimately smaller. *)
-  (match escalation with
-  | Some _ when value_paranoid () ->
-    let base_r =
-      analyze_inner ~hw ~annot ~engine ~domain:Analysis.Interval ~path_backend
-        ?cancel program
-    in
-    if base_r.verdict = Complete && solution.Ipet.wcet > base_r.wcet then
-      fatal c Diag.Path ~code:"E0503"
-        "octagon-escalated WCET bound %d exceeds the interval bound %d" solution.Ipet.wcet
-        base_r.wcet
-  | _ -> ());
-  (* [vinfo] is [None] when escalated, so refined states never reach the
-     per-function slice store. *)
   (match (vinfo, cinfo) with
-  | Some vinfo, Some cinfo ->
-    Report_cache.save_slices ~hw ~annot ~assumes value vinfo cache cinfo
+  | Some vinfo, Some cinfo -> Report_cache.save_slices ~hw ~annot ~assumes value vinfo cache cinfo
   | _ -> ());
   {
     program;
@@ -888,8 +778,8 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine 
     value;
     escalation;
     derived_bounds;
-    effective_bounds = !effective_bounds;
-    unbounded_loops = !unbounded_loops;
+    effective_bounds;
+    unbounded_loops;
     cache;
     timing;
     solution;
@@ -897,47 +787,157 @@ let rec analyze_inner ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine 
     backend_runs;
     wcet = solution.Ipet.wcet;
     bcet = best_case_bound value timing;
-    verdict = (if !holes = [] then Complete else Partial);
-    holes = List.rev !holes;
-    diagnostics = Diag.items c;
-    phase_seconds = List.rev !phases;
+    verdict = (if ctx.holes = [] then Complete else Partial);
+    holes = List.rev ctx.holes;
+    diagnostics = Diag.items ctx.c;
+    phase_seconds = List.rev ctx.phases;
   }
 
-let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine = Summary)
-    ?(domain = Analysis.Interval) ?(path_backend = Path_analysis.Portfolio) ?cancel program =
-  let ename = engine_name engine in
-  let dname = Analysis.domain_name domain in
-  let pname = Path_analysis.choice_name path_backend in
-  Trace.with_span ~cat:"analyzer" "analyze" (fun () ->
-      let cached =
-        if not (Report_cache.enabled ()) then None
-        else
-          match
-            Report_cache.find_report ~hw ~annot ~engine:ename ~domain:dname
-              ~path:pname program
-          with
-          | None -> None
-          | Some payload -> (
-            (* The envelope checksum and version already passed; a decode
-               failure here means marshal-layout drift — degrade to a
-               recompute, reclassifying the hit as a miss. *)
-            match (Marshal.from_string payload 0 : report) with
-            | r -> Some r
-            | exception _ ->
-              Report_cache.invalidate_report ~hw ~annot ~engine:ename ~domain:dname
-                ~path:pname program;
-              None)
+(* ---- Cross-checks ------------------------------------------------------ *)
+
+(* Option-lifted state relations: a missing state is an unreached node. *)
+let leq_opt leq a b =
+  match (a, b) with None, _ -> true | Some _, None -> false | Some a, Some b -> leq a b
+
+let eq_opt eq a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b -> eq a b
+  | None, Some _ | Some _, None -> false
+
+(* First node whose in- or out-state breaks [rel] between two solves. *)
+let first_node_breaking rel (a_in, a_out) (b_in, b_out) =
+  let n = Array.length a_in in
+  let rec go i =
+    if i >= n then None
+    else if rel a_in.(i) b_in.(i) && rel a_out.(i) b_out.(i) then go (i + 1)
+    else Some i
+  in
+  go 0
+
+(* E0503: an escalation may only ever tighten. The refined states must be
+   leq the interval states at every node, no loop bound may be lost or
+   raised, and the escalated WCET must not exceed a [Complete] interval
+   bound (a [Partial] one excludes the very holes — e.g. loop iterations
+   beyond the first — the escalation discharged, so it is legitimately
+   smaller). *)
+let check_escalation c ~(base : report) (r : report) =
+  let value = r.value and bv = base.value in
+  (match
+     first_node_breaking (leq_opt Wcet_value.State.leq)
+       (value.Analysis.node_in, value.Analysis.node_out)
+       (bv.Analysis.node_in, bv.Analysis.node_out)
+   with
+  | Some i ->
+    fatal c Diag.Loop_value ~code:"E0503"
+      ~loc:(Diag.in_func r.graph.Supergraph.nodes.(i).Supergraph.func)
+      "octagon-refined value state is not below the interval state at node %d" i
+  | None -> ());
+  Array.iteri
+    (fun li verdict ->
+      match (base.derived_bounds.Loop_bounds.per_loop.(li), verdict) with
+      | Loop_bounds.Bounded a, Loop_bounds.Bounded b when b > a ->
+        fatal c Diag.Loop_value ~code:"E0503"
+          "octagon loop bound %d exceeds the interval bound %d for loop %d" b a li
+      | Loop_bounds.Bounded _, Loop_bounds.Unbounded _ ->
+        fatal c Diag.Loop_value ~code:"E0503"
+          "octagon escalation lost the interval bound of loop %d" li
+      | _ -> ())
+    r.derived_bounds.Loop_bounds.per_loop;
+  if base.verdict = Complete && r.wcet > base.wcet then
+    fatal c Diag.Path ~code:"E0503" "octagon-escalated WCET bound %d exceeds the interval bound %d"
+      r.wcet base.wcet
+
+(* E0204: the summary engine's value and cache states must equal a
+   whole-program solve at every node. Divergence means a summary was
+   applied where it should not have been — fail loudly rather than risk
+   an unsound bound. *)
+let check_summary c ~annot (base : report) =
+  let program = base.program and graph = base.graph in
+  let scratch = Diag.collector () in
+  let assumes = assumes_of_annot scratch program annot in
+  let region_hints = region_hint_table scratch program annot graph in
+  let wp_value = Analysis.run ~assumes graph base.loops in
+  let diverges phase what i =
+    fatal c phase ~code:"E0204"
+      ~loc:(Diag.in_func graph.Supergraph.nodes.(i).Supergraph.func)
+      "summary-engine %s state diverges from the whole-program solve at node %d" what i
+  in
+  Option.iter (diverges Diag.Loop_value "value")
+    (first_node_breaking (eq_opt Wcet_value.Summary.equal_state)
+       (base.value.Analysis.node_in, base.value.Analysis.node_out)
+       (wp_value.Analysis.node_in, wp_value.Analysis.node_out));
+  let wp_cache = Cache_analysis.run base.hw wp_value ~region_hints in
+  Option.iter (diverges Diag.Cache "cache")
+    (first_node_breaking (eq_opt Cache_analysis.equal_cstate)
+       (base.cache.Cache_analysis.node_in, base.cache.Cache_analysis.node_out)
+       (wp_cache.Cache_analysis.node_in, wp_cache.Cache_analysis.node_out))
+
+(* The oracles of a checked run, over its finished report. The base is the
+   report itself, or — when the run escalated — an interval re-run of the
+   same inputs; E0503 compares the escalation against it and E0204 (summary
+   engine only) compares it against a whole-program solve. The path
+   cross-check (E0303) already ran inside the path phase. *)
+let cross_check ~annot ~engine ~path_backend ?cancel (r : report) =
+  let c = Diag.collector () in
+  List.iter (Diag.add c) r.diagnostics;
+  let base =
+    match r.escalation with
+    | None -> r
+    | Some _ ->
+      let base =
+        analyze_inner ~hw:r.hw ~annot ~engine ~domain:Analysis.Interval ~path_backend
+          ~checks:true ?cancel r.program
       in
+      check_escalation c ~base r;
+      base
+  in
+  if engine = Summary then check_summary c ~annot base
+
+(* The program-level report entry: a hit skips every phase and is
+   bit-identical to the run that wrote it. *)
+let cached_analysis ~hw ~annot ~engine ~domain ~path_backend ?cancel program =
+  let run () = analyze_inner ~hw ~annot ~engine ~domain ~path_backend ~checks:false ?cancel program in
+  if not (Report_cache.enabled ()) then run ()
+  else
+    let engine_s = engine_name engine
+    and domain_s = Analysis.domain_name domain
+    and path_s = Path_analysis.choice_name path_backend in
+    let cached =
+      match
+        Report_cache.find_report ~hw ~annot ~engine:engine_s ~domain:domain_s ~path:path_s program
+      with
+      | None -> None
+      | Some payload -> (
+        (* The envelope checksum and version already passed; a decode
+           failure here means marshal-layout drift — degrade to a
+           recompute, reclassifying the hit as a miss. *)
+        match (Marshal.from_string payload 0 : report) with
+        | r -> Some r
+        | exception _ ->
+          Report_cache.invalidate_report ~hw ~annot ~engine:engine_s ~domain:domain_s
+            ~path:path_s program;
+          None)
+    in
+    match cached with
+    | Some r -> r
+    | None ->
+      let r = run () in
+      Report_cache.save_report ~hw ~annot ~engine:engine_s ~domain:domain_s ~path:path_s program
+        (Marshal.to_string r []);
+      r
+
+let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine = Summary)
+    ?(domain = Analysis.Interval) ?(path_backend = Path_analysis.Portfolio) ?(checks = false)
+    ?cancel program =
+  Trace.with_span ~cat:"analyzer" "analyze" (fun () ->
       let r =
-        match cached with
-        | Some r -> r
-        | None ->
-          let r = analyze_inner ~hw ~annot ~engine ~domain ~path_backend ?cancel program in
-          if Report_cache.enabled () then
-            Report_cache.save_report ~hw ~annot ~engine:ename ~domain:dname
-              ~path:pname program
-              (Marshal.to_string r []);
+        if checks then begin
+          let r = analyze_inner ~hw ~annot ~engine ~domain ~path_backend ~checks ?cancel program in
+          cross_check ~annot ~engine ~path_backend ?cancel r;
           r
+        end
+        else cached_analysis ~hw ~annot ~engine ~domain ~path_backend ?cancel program
       in
       Trace.add_attr "nodes" (Trace.Int (Array.length r.graph.Supergraph.nodes));
       Trace.add_attr "loops" (Trace.Int (Array.length r.loops.Loops.loops));
@@ -951,21 +951,9 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine = Summary)
         Metrics.incr m_runs_partial 1);
       r)
 
-let analyze_modes ?(hw = Hw_config.default) ?(engine = Summary)
-    ?(domain = Analysis.Interval) ?(path_backend = Path_analysis.Portfolio) ~base ~modes
-    program =
-  let oblivious =
-    ("(all modes)", analyze ~hw ~engine ~domain ~path_backend ~annot:base program)
-  in
-  let per_mode =
-    List.map
-      (fun (name, annot) ->
-        ( name,
-          analyze ~hw ~engine ~domain ~path_backend ~annot:(Annot.merge base annot) program
-        ))
-      modes
-  in
-  oblivious :: per_mode
+let analyze_modes ?hw ?domain ~base ~modes program =
+  ("(all modes)", base) :: List.map (fun (name, annot) -> (name, Annot.merge base annot)) modes
+  |> List.map (fun (name, annot) -> (name, analyze ?hw ?domain ~annot program))
 
 let pp_hole ppf = function
   | Hole_call { site; func } ->
@@ -1051,16 +1039,8 @@ let hole_to_json = function
 
 let report_to_json r =
   let open Wcet_diag.Json in
-  (* When the observability layer is live, the machine-readable report also
-     carries the metric snapshot and the span trace — same Json renderer as
-     everything else, no second printer. *)
-  let obs_fields =
-    if Wcet_obs.Obs.on () then
-      [ ("metrics", Metrics.to_json ()); ("trace", Trace.to_json ()) ]
-    else []
-  in
   Obj
-    ([
+    [
       ("wcet", Int r.wcet);
       ("bcet", Int r.bcet);
       ("verdict", String (match r.verdict with Complete -> "complete" | Partial -> "partial"));
@@ -1142,7 +1122,6 @@ let report_to_json r =
                Obj [ ("name", String (phase_name phase)); ("seconds", Float dt) ])
              r.phase_seconds) );
     ]
-    @ obs_fields)
 
 let failure_to_json ds =
   let open Wcet_diag.Json in

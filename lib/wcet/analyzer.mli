@@ -40,7 +40,11 @@
     failure. *)
 exception Analysis_failed of Wcet_diag.Diag.t list
 
-type phase = Decode | Loop_value | Cache | Pipeline | Path
+(** The timed phases of Figure 1, in run order. [Octagon] (the
+    relational re-solve of the escalated functions) appears only when an
+    escalation ran; [Persistence] is the cache-persistence analysis that
+    follows the must/may classification. *)
+type phase = Decode | Loop_value | Octagon | Cache | Persistence | Pipeline | Path
 
 (** [Complete] bounds every execution; [Partial] is conditional on the
     report's [holes]. *)
@@ -57,7 +61,7 @@ type hole =
     guidelines auditor can mark the interval-pass findings the relational
     pass resolved ([discharged-by: octagon]). *)
 type esc_info = {
-  ei_domain : string;  (** requested domain: ["octagon"] or ["auto"] *)
+  ei_domain : string;  (** requested domain: ["auto"] *)
   ei_funcs : string list;  (** functions that triggered the escalation *)
   ei_transfers : int;  (** product-domain transfer count *)
   ei_slots : int list;  (** tracked stack/global word addresses *)
@@ -72,7 +76,7 @@ type esc_info = {
 (** One path-analysis backend's outcome inside a portfolio run (also
     recorded, as a singleton list, when a single backend is forced). *)
 type backend_run = {
-  br_name : string;  (** ["ipet"], ["mc"] or ["csolve"] *)
+  br_name : string;  (** ["ipet"], ["mc"], or ["csolve"] in a checked run *)
   br_bound : int option;  (** [None] = the backend failed *)
   br_error : (string * string) option;  (** (diag code, detail) on failure *)
   br_wall_ms : int;
@@ -87,8 +91,8 @@ type report = {
   value : Wcet_value.Analysis.result;
   escalation : esc_info option;
       (** [Some] iff a relational (octagon) escalation ran and refined
-          [value]/[derived_bounds]; [None] under [--domain interval] and
-          when [auto] found nothing to escalate *)
+          [value]/[derived_bounds]; [None] under [Interval] and when [Auto]
+          found nothing to escalate *)
   derived_bounds : Wcet_value.Loop_bounds.t;
   effective_bounds : (int * int) list;  (** (loop index, bound) after annotations *)
   unbounded_loops : (int * string) list;  (** loops degraded to holes, with reasons *)
@@ -97,8 +101,8 @@ type report = {
   solution : Wcet_ipet.Ipet.solution;
   path_backend : string;  (** requested backend configuration (a {!Wcet_path.Path_analysis.choice} name) *)
   backend_runs : backend_run list;
-      (** per-backend bounds/verdicts/wall times; a singleton unless the
-          portfolio ran *)
+      (** per-backend bounds/verdicts/wall times, in run order; a singleton
+          unless the portfolio ran *)
   wcet : int;  (** cycles, from program entry to halt; partial if [verdict = Partial] *)
   bcet : int;  (** best-case lower bound (shortest feasible walk) *)
   verdict : confidence;
@@ -110,13 +114,11 @@ type report = {
 (** Fixpoint engine for the value and cache analyses. [Summary] (the
     default) condenses the call graph into strongly connected components
     and solves bottom-up, one component at a time; components covered by
-    persisted summary rows recorded under the same external inputs are applied without transferring — a
-    one-function edit re-analyzes only that function's components and the
-    components whose inputs actually changed. [Whole_program] is the
-    classic single-worklist solve. The engines agree on bounds and
-    verdicts (the [WCET_CACHE_PARANOID] environment flag cross-checks
-    every summary run against a whole-program solve and aborts with E0204
-    on divergence). *)
+    persisted summary rows recorded under the same external inputs are
+    applied without transferring — a one-function edit re-analyzes only
+    that function's components and the components whose inputs actually
+    changed. [Whole_program] is the classic single-worklist solve and the
+    oracle of the E0204 check (see [checks] below). *)
 type engine = Summary | Whole_program
 
 (** ["summary"] / ["whole-program"]. *)
@@ -128,23 +130,36 @@ val engine_name : engine -> string
 
     [domain] selects the value domain ({!Wcet_value.Analysis.domain},
     default [Interval] — bit-identical to the pre-octagon analyzer).
-    [Octagon] re-solves every function under the interval x octagon
-    reduced product after the interval pass; [Auto] escalates only the
-    functions whose interval results left imprecise data accesses or
+    [Auto] re-solves, under the interval x octagon reduced product, only
+    the functions whose interval results left imprecise data accesses or
     input-dependent/aliased loop-bound causes. The refined result feeds
     every downstream phase, so escalation can tighten memory-region
-    classification, cache access sets and loop bounds — never loosen them
-    (the [WCET_VALUE_PARANOID] environment flag asserts this per node and
-    end-to-end, aborting with E0503 on violation).
+    classification, cache access sets and loop bounds — never loosen them.
 
     [path_backend] selects the path-analysis backend
     ({!Wcet_path.Path_analysis.choice}, default [Portfolio]): [Ipet] is the
-    ILP encoding, [Mc] the slicing + bounded-model-checking backend,
-    [Csolve] the structural constraint solver. [Portfolio] runs all
-    three, takes the tightest sound bound and cross-checks the results as
-    a soundness oracle — a disagreement beyond attributable slack aborts
-    with E0303 (the [WCET_PATH_PARANOID] environment flag additionally
-    requires bit-agreement on fact-free complete programs).
+    ILP encoding, [Mc] the slicing + bounded-model-checking backend.
+    [Portfolio] runs both, takes the tightest sound bound and cross-checks
+    the results — a disagreement beyond attributable slack aborts with
+    E0303.
+
+    [checks] (default [false]; [wcet_tool check] sets it) runs the
+    analysis's oracles after the pipeline and aborts on the first
+    violation:
+    - E0303: the portfolio adds the structural constraint solver as the
+      model checker's oracle (mc <= csolve) and requires every complete
+      backend to account for the certified witness paths of the others
+      on fact-free programs. A sound csolve never wins, so the bound and
+      the winner are those of an unchecked run;
+    - E0503: an escalated run is compared against an interval re-run —
+      node states and loop bounds may only tighten, and the bound may not
+      exceed a [Complete] interval bound;
+    - E0204 ([Summary] only): the value and cache states of the interval
+      result (the report itself, or the re-run when escalated) equal a
+      [Whole_program] solve at every node.
+    A checked run neither reads nor writes the program-level report
+    entry, so a warm store never skips the oracles; per-function summary
+    slices load and save as usual, because they are what E0204 audits.
 
     [cancel] is a cooperative cancellation token (the daemon's per-request
     deadline): it is polled by the value/cache fixpoints before every
@@ -156,6 +171,7 @@ val analyze :
   ?engine:engine ->
   ?domain:Wcet_value.Analysis.domain ->
   ?path_backend:Wcet_path.Path_analysis.choice ->
+  ?checks:bool ->
   ?cancel:(unit -> bool) ->
   Pred32_asm.Program.t ->
   report
@@ -166,9 +182,7 @@ val analyze :
     [None] keyed as ["(all modes)"] first. *)
 val analyze_modes :
   ?hw:Pred32_hw.Hw_config.t ->
-  ?engine:engine ->
   ?domain:Wcet_value.Analysis.domain ->
-  ?path_backend:Wcet_path.Path_analysis.choice ->
   base:Wcet_annot.Annot.t ->
   modes:(string * Wcet_annot.Annot.t) list ->
   Pred32_asm.Program.t ->
@@ -179,7 +193,9 @@ val pp_hole : Format.formatter -> hole -> unit
 val pp_report : Format.formatter -> report -> unit
 
 (** Machine-readable report: wcet, bcet, verdict, holes, diagnostics,
-    per-loop effective bounds, per-phase times. *)
+    per-loop effective bounds, per-phase times. Process-global metrics and
+    traces are not part of a report ([wcet_tool analyze --profile] adds
+    them to its own output). *)
 val report_to_json : report -> Wcet_diag.Json.t
 
 (** JSON object for a failed analysis ([Analysis_failed] payload):

@@ -296,7 +296,8 @@ let counter_value name =
 let test_analysis_populates_metrics () =
   let program = Minic.Compile.compile Harness.quickstart_source in
   with_obs (fun () ->
-      ignore (Analyzer.analyze program);
+      (* Checked, so the portfolio also runs csolve, mc's oracle. *)
+      ignore (Analyzer.analyze ~checks:true program);
       Alcotest.(check bool) "value transfers recorded" true
         (counter_value "fixpoint_transfers{analysis=value}" > 0);
       Alcotest.(check bool) "cache transfers recorded" true
@@ -309,7 +310,7 @@ let test_analysis_populates_metrics () =
         > 0);
       Alcotest.(check bool) "simplex pivoted" true (counter_value "simplex_pivots" > 0);
       Alcotest.(check int) "one ipet solve" 1 (counter_value "ipet_solves");
-      (* Default portfolio races all three path backends. *)
+      (* The checked portfolio runs all three path backends. *)
       Alcotest.(check int) "one ipet path solve" 1 (counter_value "path_solves{backend=ipet}");
       Alcotest.(check int) "one csolve path solve" 1
         (counter_value "path_solves{backend=csolve}");

@@ -601,35 +601,35 @@ let test_escalated_bound_sound () =
       | _ -> Alcotest.fail "simulation did not halt")
     s.Corpus.inputs
 
-(* The paranoid cross-check must pass on the whole corpus under auto. *)
+(* The checked run's cross-checks must pass on the whole corpus under
+   auto. *)
 let test_value_paranoid_corpus () =
-  Unix.putenv "WCET_VALUE_PARANOID" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "WCET_VALUE_PARANOID" "")
-    (fun () ->
-      List.iter
-        (fun (e : Corpus.entry) ->
-          let s = e.Corpus.conforming in
-          let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
-          let annot = s.Corpus.annotations program in
-          match Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain:Analysis.Auto program with
-          | (_ : Analyzer.report) -> ()
-          | exception Analyzer.Analysis_failed ds ->
-            let e0503 = List.exists (fun (d : Wcet_diag.Diag.t) -> d.code = "E0503") ds in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: no E0503 divergence" e.Corpus.id)
-              false e0503)
-        Corpus.all)
+  List.iter
+    (fun (e : Corpus.entry) ->
+      let s = e.Corpus.conforming in
+      let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
+      let annot = s.Corpus.annotations program in
+      match
+        Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain:Analysis.Auto ~checks:true program
+      with
+      | (_ : Analyzer.report) -> ()
+      | exception Analyzer.Analysis_failed ds ->
+        let e0503 = List.exists (fun (d : Wcet_diag.Diag.t) -> d.code = "E0503") ds in
+        Alcotest.(check bool) (Printf.sprintf "%s: no E0503 divergence" e.Corpus.id) false e0503)
+    Corpus.all
 
 (* The golden pin: one line per corpus scenario (16 entries x conforming/
-   violating) under --domain auto with the paranoid interval cross-check
-   armed — verdict, bound and everything the escalation recorded. The
-   octagon representation may change; these results may not. *)
+   violating) under --domain auto in a checked run (the interval
+   cross-check armed) — verdict, bound and everything the escalation
+   recorded. The octagon representation may change; these results may
+   not. *)
 let auto_golden_line id variant (s : Corpus.scenario) =
   let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
   let annot = s.Corpus.annotations program in
   let name = id ^ "/" ^ variant in
-  match Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain:Analysis.Auto program with
+  match
+    Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain:Analysis.Auto ~checks:true program
+  with
   | exception Analyzer.Analysis_failed ds ->
     Printf.sprintf "%s failed %s" name
       (String.concat "," (List.map (fun (d : Wcet_diag.Diag.t) -> d.Wcet_diag.Diag.code) ds))
@@ -670,11 +670,7 @@ let test_auto_golden () =
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
   in
-  Unix.putenv "WCET_VALUE_PARANOID" "1";
-  let actual =
-    Fun.protect ~finally:(fun () -> Unix.putenv "WCET_VALUE_PARANOID" "") auto_golden_lines
-  in
-  Alcotest.(check (list string)) "octagon_auto.golden" expected actual
+  Alcotest.(check (list string)) "octagon_auto.golden" expected (auto_golden_lines ())
 
 (* --domain interval must not change any bound: compare against a default
    analyze call on every corpus conforming scenario. *)

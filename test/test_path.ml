@@ -14,8 +14,8 @@ module Ipet = Wcet_ipet.Ipet
 module Corpus = Wcet_corpus.Corpus
 module Block_timing = Wcet_pipeline.Block_timing
 
-let report ?(annot = Annot.empty) ?path_backend source =
-  Analyzer.analyze ~annot ?path_backend (Compile.compile source)
+let report ?(annot = Annot.empty) ?path_backend ?checks source =
+  Analyzer.analyze ~annot ?path_backend ?checks (Compile.compile source)
 
 let observed ?(pokes = []) program =
   let sim = Sim.create Hw_config.default program in
@@ -62,9 +62,19 @@ let bound_of name (r : Analyzer.report) =
 let test_backends_agree () =
   List.iter
     (fun source ->
-      let r = report source in
+      (* The production portfolio is IPET plus mc; a checked run adds
+         csolve as mc's oracle without changing the bound or the winner. *)
+      let unchecked = report source in
+      Alcotest.(check int) "two runs recorded unchecked" 2
+        (List.length unchecked.Analyzer.backend_runs);
+      let r = report ~checks:true source in
       Alcotest.(check string) "portfolio requested" "portfolio" r.Analyzer.path_backend;
-      Alcotest.(check int) "three runs recorded" 3 (List.length r.Analyzer.backend_runs);
+      Alcotest.(check int) "three runs recorded checked" 3 (List.length r.Analyzer.backend_runs);
+      Alcotest.(check int) "checks keep the bound" unchecked.Analyzer.wcet r.Analyzer.wcet;
+      let winner_of (r : Analyzer.report) =
+        (List.find (fun b -> b.Analyzer.br_winner) r.Analyzer.backend_runs).Analyzer.br_name
+      in
+      Alcotest.(check string) "checks keep the winner" (winner_of unchecked) (winner_of r);
       let ipet = bound_of "ipet" r in
       let csolve = bound_of "csolve" r in
       let mc = bound_of "mc" r in
@@ -177,59 +187,57 @@ let test_irreducible_portfolio_degrades () =
      portfolio continues on IPET with W0305 warnings instead of failing. *)
   let r = report goto_cycle in
   let w0305 = List.filter (fun d -> d.Diag.code = "W0305") r.Analyzer.diagnostics in
-  Alcotest.(check int) "csolve and mc excluded with W0305" 2 (List.length w0305);
+  Alcotest.(check int) "mc excluded with W0305" 1 (List.length w0305);
   let winner = List.find (fun b -> b.Analyzer.br_winner) r.Analyzer.backend_runs in
   Alcotest.(check string) "ipet carries the bound" "ipet" winner.Analyzer.br_name
 
 let test_irreducible_single_backend_fatal () =
-  match report ~path_backend:Path_analysis.Csolve goto_cycle with
-  | _ -> Alcotest.fail "csolve-only analysis of an irreducible program must fail"
+  match report ~path_backend:Path_analysis.Mc goto_cycle with
+  | _ -> Alcotest.fail "mc-only analysis of an irreducible program must fail"
   | exception Analyzer.Analysis_failed ds ->
     Alcotest.(check bool) "fails with E0305" true
       (List.exists (fun d -> d.Diag.code = "E0305" && d.Diag.severity = Diag.Error) ds)
 
-(* --- corpus-wide paranoid sweep: portfolio never worse than IPET --- *)
+(* --- corpus-wide checked sweep: portfolio never worse than IPET --- *)
 
 let test_corpus_portfolio_never_worse () =
-  Unix.putenv "WCET_PATH_PARANOID" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "WCET_PATH_PARANOID" "0")
-    (fun () ->
-      let strict_wins = ref 0 in
+  let strict_wins = ref 0 in
+  List.iter
+    (fun (e : Corpus.entry) ->
       List.iter
-        (fun (e : Corpus.entry) ->
-          List.iter
-            (fun (variant, (s : Corpus.scenario)) ->
-              let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
-              let annot = s.Corpus.annotations program in
-              let run path_backend =
-                match Analyzer.analyze ~hw:s.Corpus.hw ~annot ~path_backend program with
-                | r -> Some r
-                | exception Analyzer.Analysis_failed ds ->
-                  (* An E0303 disagreement is the one failure this sweep
-                     exists to rule out; expected analysis failures
-                     (unbounded loops etc.) are skipped. *)
-                  if List.exists (fun d -> d.Diag.code = "E0303") ds then
-                    Alcotest.failf "%s/%s: backend disagreement" e.Corpus.id variant
-                  else None
-              in
-              match (run Path_analysis.Portfolio, run Path_analysis.Ipet) with
-              | Some rp, Some ri ->
-                if rp.Analyzer.verdict = Analyzer.Complete && ri.Analyzer.verdict = Analyzer.Complete
-                then begin
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s/%s: portfolio <= ipet (%d <= %d)" e.Corpus.id variant
-                       rp.Analyzer.wcet ri.Analyzer.wcet)
-                    true
-                    (rp.Analyzer.wcet <= ri.Analyzer.wcet);
-                  if rp.Analyzer.wcet < ri.Analyzer.wcet then incr strict_wins
-                end
-              | _ -> ())
-            [ ("conforming", e.Corpus.conforming); ("violating", e.Corpus.violating) ])
-        Corpus.all;
-      Alcotest.(check bool)
-        (Printf.sprintf "at least one strict portfolio win on the corpus (%d)" !strict_wins)
-        true (!strict_wins >= 0))
+        (fun (variant, (s : Corpus.scenario)) ->
+          let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
+          let annot = s.Corpus.annotations program in
+          let run path_backend =
+            match
+              Analyzer.analyze ~hw:s.Corpus.hw ~annot ~path_backend ~checks:true program
+            with
+            | r -> Some r
+            | exception Analyzer.Analysis_failed ds ->
+              (* An E0303 disagreement is the one failure this sweep
+                 exists to rule out; expected analysis failures
+                 (unbounded loops etc.) are skipped. *)
+              if List.exists (fun d -> d.Diag.code = "E0303") ds then
+                Alcotest.failf "%s/%s: backend disagreement" e.Corpus.id variant
+              else None
+          in
+          match (run Path_analysis.Portfolio, run Path_analysis.Ipet) with
+          | Some rp, Some ri ->
+            if rp.Analyzer.verdict = Analyzer.Complete && ri.Analyzer.verdict = Analyzer.Complete
+            then begin
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/%s: portfolio <= ipet (%d <= %d)" e.Corpus.id variant
+                   rp.Analyzer.wcet ri.Analyzer.wcet)
+                true
+                (rp.Analyzer.wcet <= ri.Analyzer.wcet);
+              if rp.Analyzer.wcet < ri.Analyzer.wcet then incr strict_wins
+            end
+          | _ -> ())
+        [ ("conforming", e.Corpus.conforming); ("violating", e.Corpus.violating) ])
+    Corpus.all;
+  Alcotest.(check bool)
+    (Printf.sprintf "at least one strict portfolio win on the corpus (%d)" !strict_wins)
+    true (!strict_wins >= 0)
 
 (* --- plumbing --- *)
 
@@ -241,7 +249,9 @@ let test_choice_parsing () =
       | Some c' when c' = c -> ()
       | _ -> Alcotest.failf "choice %s does not parse back" name)
     Path_analysis.all_choices;
-  Alcotest.(check int) "four choices" 4 (List.length Path_analysis.all_choices);
+  Alcotest.(check int) "three choices" 3 (List.length Path_analysis.all_choices);
+  Alcotest.(check bool) "csolve is not a choice" true
+    (Path_analysis.choice_of_string "csolve" = None);
   Alcotest.(check bool) "unknown rejected" true
     (Path_analysis.choice_of_string "simplex" = None)
 

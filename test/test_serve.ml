@@ -423,6 +423,90 @@ let test_server_basics () =
             (ok_result (Client.request c ~id:(Json.Int 5) ~meth:"ping" (Json.Obj [])))));
   Sys.remove src
 
+(* A reply still being written when its client disconnects must never
+   reach the next client. Client A asks for a reply far larger than the
+   socket buffer and half-closes without reading, so the server sees EOF
+   while a worker is blocked writing to A. Client B then connects — the
+   fd number A's connection would free is the next one handed out — and A
+   drains its reply. B must see only the reply to its own request. *)
+let test_server_disconnect_mid_reply () =
+  let blob = String.make (4 * 1024 * 1024) 'x' in
+  let handler ~cancel ~meth ~params =
+    match meth with
+    | "big" -> Some (Json.Obj [ ("blob", Json.String blob) ])
+    | _ -> Handlers.standard ~cancel ~meth ~params
+  in
+  with_server ~handler (fun path ->
+      let a = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close a with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.connect a (Unix.ADDR_UNIX path);
+          let req = Proto.encode_request ~id:(Json.Int 1) ~meth:"big" (Json.Obj []) in
+          ignore (Unix.write_substring a req 0 (String.length req));
+          (* let the worker fill the socket buffer and block *)
+          Thread.delay 0.3;
+          Unix.shutdown a Unix.SHUTDOWN_SEND;
+          Thread.delay 0.3;
+          with_client path (fun b ->
+              let drained = ref 0 in
+              let drain =
+                Thread.create
+                  (fun () ->
+                    let buf = Bytes.create 65536 in
+                    let rec go () =
+                      match Unix.read a buf 0 (Bytes.length buf) with
+                      | 0 -> ()
+                      | n ->
+                        drained := !drained + n;
+                        go ()
+                      | exception Unix.Unix_error _ -> ()
+                    in
+                    go ())
+                  ()
+              in
+              Thread.delay 0.3;
+              let reply = Client.request ~timeout_s:5. b ~id:(Json.Int 2) ~meth:"ping" (Json.Obj []) in
+              Thread.join drain;
+              (match reply with
+              | Ok r ->
+                Alcotest.(check string) "B receives its own id" "2" (Json.to_string r.Proto.reply_id);
+                Alcotest.(check bool) "B's ping succeeds" true r.Proto.ok
+              | Error msg -> Alcotest.failf "B got no reply of its own: %s" msg);
+              Alcotest.(check bool) "A received its whole reply" true
+                (!drained > String.length blob))))
+
+(* The daemon analyzes under the CLI's defaults (the auto domain), so a
+   reply carries the bound, verdict and escalation `wcet_tool analyze`
+   prints for the same input. *)
+let test_server_matches_cli () =
+  let src = Filename.concat (Sys.getcwd ()) "../examples/relational.mc" in
+  let annot_path = Filename.concat (Sys.getcwd ()) "../examples/relational.annot" in
+  let program = Minic.Compile.compile (In_channel.with_open_text src In_channel.input_all) in
+  let annot =
+    match Wcet_annot.Annot.parse (In_channel.with_open_text annot_path In_channel.input_all) with
+    | Ok a -> a
+    | Error msg -> Alcotest.fail msg
+  in
+  let cli =
+    Analyzer.report_to_json
+      (Analyzer.analyze ~annot ~domain:Wcet_value.Analysis.Auto program)
+  in
+  with_server (fun path ->
+      with_client path (fun c ->
+          let daemon =
+            ok_result
+              (Client.request c ~id:(Json.Int 1) ~meth:"analyze"
+                 (Json.Obj [ ("source", Json.String src); ("annot", Json.String annot_path) ]))
+          in
+          List.iter
+            (fun field ->
+              let get j = Option.fold ~none:"absent" ~some:Json.to_string (Json.member field j) in
+              Alcotest.(check string) ("daemon " ^ field ^ " = CLI") (get cli) (get daemon))
+            [ "wcet"; "verdict"; "escalation" ];
+          Alcotest.(check (option string)) "complete under auto" (Some "complete")
+            (Option.bind (Json.member "verdict" daemon) Json.to_string_opt)))
+
 let test_server_deadline () =
   let src = Filename.temp_file "wcet-serve-ddl" ".mc" in
   write_file src (loop_src 64);
@@ -800,6 +884,9 @@ let () =
         [
           Alcotest.test_case "basics and fault isolation" `Quick test_server_basics;
           Alcotest.test_case "deadline partial reply" `Quick test_server_deadline;
+          Alcotest.test_case "disconnect mid-reply never leaks" `Quick
+            test_server_disconnect_mid_reply;
+          Alcotest.test_case "daemon analyzes like the CLI" `Quick test_server_matches_cli;
           Alcotest.test_case "backpressure" `Quick test_server_backpressure;
           Alcotest.test_case "retry helper" `Quick test_server_retry_helper;
           Alcotest.test_case "subscribe + shutdown event" `Quick test_server_subscribe_shutdown;

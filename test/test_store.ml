@@ -210,6 +210,44 @@ let test_program_cold_then_warm () =
       Alcotest.(check string) "byte-identical report" (report_bytes cold) (report_bytes warm);
       Alcotest.(check int) "same bound" cold.Analyzer.wcet warm.Analyzer.wcet)
 
+(* A checked run never reads (or writes) the program-level report entry,
+   so a warm store cannot skip its oracles: the whole-program solve behind
+   E0204 always transfers, while an unchecked rerun is a pure hit. *)
+let test_checked_rerun_bypasses_report () =
+  with_cache (fun _dir ->
+      let program = Compile.compile quickstart_like in
+      let cold = Analyzer.analyze program in
+      let value_transfers () =
+        match Metrics.find "fixpoint_transfers{analysis=value}" with
+        | Some (Metrics.Counter_value n) -> n
+        | _ -> 0
+      in
+      Obs.enable ();
+      Fun.protect ~finally:Obs.disable (fun () ->
+          Report_cache.reset_session ();
+          let t0 = value_transfers () in
+          let warm = Analyzer.analyze program in
+          let s = Report_cache.session_stats () in
+          Alcotest.(check int) "unchecked rerun is a program hit" 1 s.Report_cache.program_hits;
+          Alcotest.(check int) "unchecked rerun transfers nothing" 0 (value_transfers () - t0);
+          Report_cache.reset_session ();
+          let t1 = value_transfers () in
+          let checked = Analyzer.analyze ~checks:true program in
+          let s = Report_cache.session_stats () in
+          Alcotest.(check int) "checked rerun is not a program hit" 0
+            s.Report_cache.program_hits;
+          Alcotest.(check int) "checked rerun does not look the report up" 0
+            s.Report_cache.program_misses;
+          Alcotest.(check bool) "checked rerun runs the oracle solve" true
+            (value_transfers () - t1 > 0);
+          Alcotest.(check int) "same bound warm" cold.Analyzer.wcet warm.Analyzer.wcet;
+          Alcotest.(check int) "same bound checked" cold.Analyzer.wcet checked.Analyzer.wcet);
+      (* and the checked run left the entry as it was: still a hit *)
+      Report_cache.reset_session ();
+      ignore (Analyzer.analyze program);
+      Alcotest.(check int) "entry untouched" 1
+        (Report_cache.session_stats ()).Report_cache.program_hits)
+
 let test_annotation_change_misses () =
   with_cache (fun _dir ->
       let program = Compile.compile quickstart_like in
@@ -570,6 +608,8 @@ let () =
       ( "report cache",
         [
           Alcotest.test_case "cold then warm" `Quick test_program_cold_then_warm;
+          Alcotest.test_case "checked rerun bypasses the report entry" `Quick
+            test_checked_rerun_bypasses_report;
           Alcotest.test_case "annotation change misses" `Quick test_annotation_change_misses;
           Alcotest.test_case "one-function edit invalidates one function" `Quick
             test_function_invalidation_on_edit;

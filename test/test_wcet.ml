@@ -287,11 +287,24 @@ let test_phase_times_reported () =
   let program = Compile.compile "int main() { return 0; }" in
   let report = Analyzer.analyze program in
   let names = List.map fst report.Analyzer.phase_seconds in
-  (* decode, loop/value, cache, persistence (also Cache), pipeline, path *)
   Alcotest.(check int) "six timed phases" 6 (List.length names);
-  Alcotest.(check bool) "decode first" true (List.hd names = Analyzer.Decode);
-  Alcotest.(check bool) "path last" true
-    (List.nth names (List.length names - 1) = Analyzer.Path)
+  Alcotest.(check bool) "in Figure-1 order" true
+    (names
+    = Analyzer.[ Decode; Loop_value; Cache; Persistence; Pipeline; Path ]);
+  let labels = List.map Analyzer.phase_name names in
+  Alcotest.(check int) "distinct phase names" 6 (List.length (List.sort_uniq compare labels));
+  (* An escalated run adds the octagon phase right after the interval pass. *)
+  let module Corpus = Wcet_corpus.Corpus in
+  let s = (List.find (fun e -> e.Corpus.id = "20.4") Corpus.all).Corpus.conforming in
+  let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
+  let escalated =
+    Analyzer.analyze ~hw:s.Corpus.hw ~annot:(s.Corpus.annotations program)
+      ~domain:Wcet_value.Analysis.Auto program
+  in
+  Alcotest.(check bool) "20.4 escalates" true (escalated.Analyzer.escalation <> None);
+  Alcotest.(check bool) "octagon phase follows the interval pass" true
+    (List.map fst escalated.Analyzer.phase_seconds
+    = Analyzer.[ Decode; Loop_value; Octagon; Cache; Persistence; Pipeline; Path ])
 
 let () =
   Alcotest.run "wcet"
