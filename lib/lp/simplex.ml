@@ -18,26 +18,37 @@ type tableau = {
   t : Rat.t array array;
   basis : int array;  (* basic variable of each constraint row *)
   cols : int;  (* number of variable columns (rhs excluded) *)
+  nz : int array;  (* scratch: nonzero columns of the current pivot row *)
 }
 
+(* A flow-conservation tableau is mostly zeros, so a pivot touches only
+   the nonzero columns of the pivot row: every other cell of an updated
+   row would be rewritten to itself. *)
 let pivot tab r c =
   Wcet_obs.Metrics.incr m_pivots 1;
   let m = Array.length tab.t in
-  let width = tab.cols + 1 in
   let prow = tab.t.(r) in
   let inv = Rat.div Rat.one prow.(c) in
-  for j = 0 to width - 1 do
-    prow.(j) <- Rat.mul prow.(j) inv
+  let scale = not (Rat.equal inv Rat.one) in
+  let nz = tab.nz in
+  let k = ref 0 in
+  for j = 0 to tab.cols do
+    let x = prow.(j) in
+    if Rat.sign x <> 0 then begin
+      if scale then prow.(j) <- Rat.mul x inv;
+      nz.(!k) <- j;
+      incr k
+    end
   done;
   for i = 0 to m - 1 do
     if i <> r then begin
-      let factor = tab.t.(i).(c) in
-      if Rat.sign factor <> 0 then begin
-        let row = tab.t.(i) in
-        for j = 0 to width - 1 do
+      let row = tab.t.(i) in
+      let factor = row.(c) in
+      if Rat.sign factor <> 0 then
+        for q = 0 to !k - 1 do
+          let j = nz.(q) in
           row.(j) <- Rat.sub row.(j) (Rat.mul factor prow.(j))
         done
-      end
     end
   done;
   tab.basis.(r - 1) <- c
@@ -58,24 +69,28 @@ let rec iterate tab ~allowed =
   if !entering < 0 then `Optimal
   else begin
     let c = !entering in
-    let best = ref None in
+    let best_ratio = ref Rat.zero and best_row = ref (-1) in
     for i = 1 to m do
       let a = tab.t.(i).(c) in
       if Rat.sign a > 0 then begin
         let ratio = Rat.div tab.t.(i).(tab.cols) a in
-        match !best with
-        | None -> best := Some (ratio, i)
-        | Some (r0, i0) ->
-          let cmp = Rat.compare ratio r0 in
-          if cmp < 0 || (cmp = 0 && tab.basis.(i - 1) < tab.basis.(i0 - 1)) then
-            best := Some (ratio, i)
+        if !best_row < 0 then begin
+          best_ratio := ratio;
+          best_row := i
+        end
+        else
+          let cmp = Rat.compare ratio !best_ratio in
+          if cmp < 0 || (cmp = 0 && tab.basis.(i - 1) < tab.basis.(!best_row - 1)) then begin
+            best_ratio := ratio;
+            best_row := i
+          end
       end
     done;
-    match !best with
-    | None -> `Unbounded
-    | Some (_, r) ->
-      pivot tab r c;
+    if !best_row < 0 then `Unbounded
+    else begin
+      pivot tab !best_row c;
       iterate tab ~allowed
+    end
   end
 
 (* Canonicalize a coefficient list: merge duplicate variables (generated
@@ -147,7 +162,7 @@ and solve_canonical (p : problem) =
   let cols = p.num_vars + n_slack + n_art in
   let t = Array.init (m + 1) (fun _ -> Array.make (cols + 1) Rat.zero) in
   let basis = Array.make m 0 in
-  let tab = { t; basis; cols } in
+  let tab = { t; basis; cols; nz = Array.make (cols + 1) 0 } in
   let slack_cursor = ref p.num_vars in
   let art_cursor = ref (p.num_vars + n_slack) in
   let art_cols = ref [] in
@@ -192,7 +207,7 @@ and solve_canonical (p : problem) =
     for i = 1 to m do
       if is_artificial basis.(i - 1) then
         for j = 0 to cols do
-          t.(0).(j) <- Rat.sub t.(0).(j) t.(i).(j)
+          if Rat.sign t.(i).(j) <> 0 then t.(0).(j) <- Rat.sub t.(0).(j) t.(i).(j)
         done
     done;
     match iterate tab ~allowed:(fun _ -> true) with
@@ -226,7 +241,8 @@ and solve_canonical (p : problem) =
       let factor = t.(0).(b) in
       if Rat.sign factor <> 0 then
         for j = 0 to cols do
-          t.(0).(j) <- Rat.sub t.(0).(j) (Rat.mul factor t.(i).(j))
+          if Rat.sign t.(i).(j) <> 0 then
+            t.(0).(j) <- Rat.sub t.(0).(j) (Rat.mul factor t.(i).(j))
         done
     done;
     match iterate tab ~allowed:(fun j -> not (is_artificial j)) with

@@ -4,7 +4,9 @@
     IPET are small (hundreds of variables after chain collapsing), so a
     dense exact tableau is both fast enough and free of floating-point
     soundness concerns — the WCET bound comes out of this solver, it must
-    not be approximate. *)
+    not be approximate. A pivot updates only the nonzero columns of the
+    pivot row; [test/simplex_ref.ml] is the dense-pivot oracle it must
+    match, outcome and pivot count alike. *)
 
 type op = Le | Ge | Eq
 

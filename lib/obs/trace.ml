@@ -1,9 +1,10 @@
 (* Span tracing: nested, wall-clocked phases of the analyzer.
 
    A span is entered and exited around a phase (or sub-phase); nesting is
-   tracked per domain in domain-local storage, so the harness's corpus
-   fan-out traces correctly from every worker. Completed spans are
-   appended to one mutex-protected buffer and can be rendered two ways:
+   tracked per thread, so the harness's corpus fan-out (one domain per
+   worker) and the daemon's worker systhreads (many threads on one domain)
+   each trace correctly. Completed spans are appended to one
+   mutex-protected buffer and can be rendered two ways:
 
    - a Chrome trace-event file ("X" complete events, microsecond
      timestamps), loadable in Perfetto / chrome://tracing, one event per
@@ -22,7 +23,7 @@ type attr = Int of int | Float of float | Str of string
 type event = {
   name : string;
   cat : string;
-  tid : int;  (* domain id *)
+  tid : int;  (* thread id (Thread.id), unique across domains *)
   depth : int;  (* nesting depth at entry, 0 = root *)
   start_ns : int64;
   dur_ns : int64;
@@ -37,7 +38,21 @@ type open_span = {
   mutable s_attrs : (string * attr) list;  (* reversed *)
 }
 
-let stack_key : open_span list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+(* Open spans, one stack per thread. A domain-local stack would be shared
+   by every systhread of the domain, so concurrent daemon requests would
+   pop each other's spans. The table is touched only while tracing is on. *)
+let stacks_mutex = Mutex.create ()
+let stacks : (int, open_span list) Hashtbl.t = Hashtbl.create 8
+
+let self_id () = Thread.id (Thread.self ())
+
+let get_stack id =
+  Mutex.protect stacks_mutex (fun () ->
+      Option.value ~default:[] (Hashtbl.find_opt stacks id))
+
+let set_stack id stack =
+  Mutex.protect stacks_mutex (fun () ->
+      match stack with [] -> Hashtbl.remove stacks id | _ -> Hashtbl.replace stacks id stack)
 
 let events_mutex = Mutex.create ()
 let events_rev : event list ref = ref []
@@ -62,42 +77,43 @@ let reset () =
   n_events := 0;
   n_dropped := 0;
   Mutex.unlock events_mutex;
-  Domain.DLS.get stack_key := []
+  set_stack (self_id ()) []
 
-let depth () = List.length !(Domain.DLS.get stack_key)
+let depth () = List.length (get_stack (self_id ()))
 
 let dropped () = !n_dropped
 
 let add_attr k v =
   if Obs.on () then
-    match !(Domain.DLS.get stack_key) with
+    match get_stack (self_id ()) with
     | [] -> ()
     | s :: _ -> s.s_attrs <- (k, v) :: s.s_attrs
 
 let enter ~cat name =
-  let stack = Domain.DLS.get stack_key in
+  let id = self_id () in
+  let stack = get_stack id in
   let span =
     {
       s_name = name;
       s_cat = cat;
       s_start = Wcet_util.Mono_clock.now_ns ();
-      s_depth = List.length !stack;
+      s_depth = List.length stack;
       s_attrs = [];
     }
   in
-  stack := span :: !stack
+  set_stack id (span :: stack)
 
 let exit_span () =
-  let stack = Domain.DLS.get stack_key in
-  match !stack with
+  let id = self_id () in
+  match get_stack id with
   | [] -> ()
   | s :: rest ->
-    stack := rest;
+    set_stack id rest;
     let ev =
       {
         name = s.s_name;
         cat = s.s_cat;
-        tid = (Domain.self () :> int);
+        tid = id;
         depth = s.s_depth;
         start_ns = s.s_start;
         dur_ns = Int64.sub (Wcet_util.Mono_clock.now_ns ()) s.s_start;
@@ -141,10 +157,10 @@ let pp_attr ppf (k, v) =
   | Str s -> Format.fprintf ppf "%s=%s" k s
 
 (* The profile aggregates spans by name path (parent chain of names),
-   merged across domains, and sorts every sibling list by (total time
+   merged across threads, and sorts every sibling list by (total time
    descending, name ascending). Aggregation makes the structure — and with
    the name tiebreak, the ordering of near-equal rows — independent of
-   domain scheduling, so two profiles of the same workload diff cleanly. *)
+   thread scheduling, so two profiles of the same workload diff cleanly. *)
 type agg = {
   mutable a_total_ns : int64;
   mutable a_count : int;
@@ -158,7 +174,7 @@ let new_agg () =
 let aggregate evs =
   let root = new_agg () in
   (* Most recent aggregation node per (tid, depth): scanning in start order
-     means an event's parent is the latest shallower event of its domain. *)
+     means an event's parent is the latest shallower event of its thread. *)
   let cur : (int * int, agg) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun e ->

@@ -1,7 +1,7 @@
 (** Span tracing: nested, wall-clocked analyzer phases.
 
-    Spans nest per domain (tracked in domain-local storage); completed
-    spans land in one process-wide buffer renderable as a Chrome
+    Spans nest per thread (each systhread, on any domain, has its own
+    open-span stack); completed spans land in one process-wide buffer renderable as a Chrome
     trace-event file (Perfetto / chrome://tracing) or a human-readable
     text profile. While {!Obs.on} is false, {!with_span} runs its thunk
     directly — no allocation, no clock read. *)
@@ -11,7 +11,7 @@ type attr = Int of int | Float of float | Str of string
 type event = {
   name : string;
   cat : string;
-  tid : int;  (** domain id *)
+  tid : int;  (** thread id ([Thread.id]), unique across domains *)
   depth : int;  (** nesting depth at entry, 0 = root *)
   start_ns : int64;
   dur_ns : int64;
@@ -23,14 +23,14 @@ type event = {
     are attached at entry, {!add_attr} appends more from inside. *)
 val with_span : ?cat:string -> ?attrs:(string * attr) list -> string -> (unit -> 'a) -> 'a
 
-(** Attach an attribute to the innermost open span of the calling domain
+(** Attach an attribute to the innermost open span of the calling thread
     (no-op if none is open or tracing is disabled). *)
 val add_attr : string -> attr -> unit
 
 (** Completed spans, in completion order. *)
 val events : unit -> event list
 
-(** Nesting depth of the calling domain's open-span stack (for tests). *)
+(** Nesting depth of the calling thread's open-span stack (for tests). *)
 val depth : unit -> int
 
 (** Spans discarded past the buffer cap (also counted by the
@@ -45,7 +45,7 @@ val buffer_capacity : unit -> int
 
 val set_buffer_capacity : int -> unit
 
-(** Drop all completed spans and the calling domain's open stack. *)
+(** Drop all completed spans and the calling thread's open stack. *)
 val reset : unit -> unit
 
 (** Indented span tree with durations in milliseconds. *)

@@ -59,5 +59,3 @@ val solve_dag : t -> int * counts
 
 val counts_to_array : n:int -> counts -> int array
 
-(** [merge_counts [(cs, mult); ...]] sums scaled sparse count lists. *)
-val merge_counts : (counts * int) list -> counts

@@ -579,6 +579,26 @@ let value_phase ctx ~engine ~domain ~assumes ~slices graph loops =
       Analysis.publish_access_metrics refined.Analysis.accesses;
       (Some info, refined, bounds, None))
 
+(* The flow facts of the path problem: the annotation's, plus one pass per
+   block for each irreducible region no annotation fact covers (those
+   regions are returned too, for flow_phase to report as holes). *)
+let path_facts c program (graph : Supergraph.t) (loops : Loops.info) annot =
+  let facts = facts_of_annot c graph program annot in
+  let user_fact_nodes = List.concat_map (fun f -> List.map fst f.Ipet.fact_coeffs) facts in
+  let uncovered =
+    List.filter
+      (fun scc -> not (List.exists (fun n -> List.mem n user_fact_nodes) scc))
+      loops.Loops.irreducible
+  in
+  let synthetic =
+    List.concat_map
+      (List.map (fun n ->
+           { Ipet.fact_coeffs = [ (n, 1) ]; fact_bound = 1;
+             fact_label = "degradation: irreducible region" }))
+      uncovered
+  in
+  (facts @ synthetic, uncovered)
+
 (* Overlay the annotation loop bounds on the derived verdicts, degrade the
    loops left unbounded and the irreducible regions without user flow
    facts to holes, and collect the flow facts the path phase consumes.
@@ -620,38 +640,24 @@ let flow_phase ctx program (graph : Supergraph.t) (loops : Loops.info) value
             reason
         end)
     bounds.Loop_bounds.per_loop;
-  let facts = facts_of_annot c graph program ctx.annot in
-  (* Irreducible regions without user flow facts: degrade to one pass per
-     block so the path problem stays bounded; report the hole. *)
-  let user_fact_nodes = List.concat_map (fun f -> List.map fst f.Ipet.fact_coeffs) facts in
-  let synthetic_facts =
-    List.concat_map
-      (fun scc ->
-        if List.exists (fun n -> List.mem n user_fact_nodes) scc then []
-        else begin
-          let func = graph.Supergraph.nodes.(List.hd scc).Supergraph.func in
-          let blocks =
-            List.sort_uniq compare
-              (List.map (fun n -> graph.Supergraph.nodes.(n).Supergraph.block.Func_cfg.entry) scc)
-          in
-          ctx.holes <- Hole_irreducible { blocks; func } :: ctx.holes;
-          warn c Diag.Loop_value ~code:"W0303"
-            ~loc:(Diag.at_addr ~func (List.hd blocks))
-            ~hint:
-              (String.concat "\n"
-                 (List.map (fun a -> Printf.sprintf "maxcount at 0x%x <= <N>" a) blocks))
-            "irreducible region (%d blocks) has no automatic bound; limited to one pass per \
-             block in the bound"
-            (List.length scc);
-          List.map
-            (fun n ->
-              { Ipet.fact_coeffs = [ (n, 1) ]; fact_bound = 1;
-                fact_label = "degradation: irreducible region" })
-            scc
-        end)
-      loops.Loops.irreducible
-  in
-  (!effective, !unbounded, facts @ synthetic_facts)
+  let facts, uncovered = path_facts c program graph loops ctx.annot in
+  List.iter
+    (fun scc ->
+      let func = graph.Supergraph.nodes.(List.hd scc).Supergraph.func in
+      let blocks =
+        List.sort_uniq compare
+          (List.map (fun n -> graph.Supergraph.nodes.(n).Supergraph.block.Func_cfg.entry) scc)
+      in
+      ctx.holes <- Hole_irreducible { blocks; func } :: ctx.holes;
+      warn c Diag.Loop_value ~code:"W0303"
+        ~loc:(Diag.at_addr ~func (List.hd blocks))
+        ~hint:
+          (String.concat "\n" (List.map (fun a -> Printf.sprintf "maxcount at 0x%x <= <N>" a) blocks))
+        "irreducible region (%d blocks) has no automatic bound; limited to one pass per block \
+         in the bound"
+        (List.length scc))
+    uncovered;
+  (!effective, !unbounded, facts)
 
 (* Cache analysis (must/may classification) and then persistence. Cache
    rows are gated on the value fixpoint: a row is only offered at nodes
@@ -950,6 +956,10 @@ let analyze ?(hw = Hw_config.default) ?(annot = Annot.empty) ?(engine = Summary)
         Trace.add_attr "verdict" (Trace.Str "partial");
         Metrics.incr m_runs_partial 1);
       r)
+
+let path_spec ?(annot = Annot.empty) r =
+  let facts, _ = path_facts (Diag.collector ()) r.program r.graph r.loops annot in
+  { Ipet.value = r.value; times = r.timing.Block_timing.wcet; loop_bounds = r.effective_bounds; facts }
 
 let analyze_modes ?hw ?domain ~base ~modes program =
   ("(all modes)", base) :: List.map (fun (name, annot) -> (name, Annot.merge base annot)) modes

@@ -176,6 +176,13 @@ val analyze :
   Pred32_asm.Program.t ->
   report
 
+(** [path_spec ?annot r] is the path problem [analyze ~annot] gave its
+    path backends for report [r]: the value result, the per-node times, the
+    effective loop bounds and the flow facts (the annotation's plus the
+    one-pass facts of uncovered irreducible regions). Re-running a backend
+    on it reproduces that backend's bound and witness. *)
+val path_spec : ?annot:Wcet_annot.Annot.t -> report -> Wcet_path.Path_analysis.spec
+
 (** [analyze_modes ?hw ~base ~modes program] runs one analysis per operating
     mode (merging each mode's annotations into [base]) plus the
     mode-oblivious analysis, returning [(mode name, report)] pairs with

@@ -168,9 +168,10 @@ let test_budget () =
     (Failure "fixpoint did not converge within budget") (fun () ->
       ignore (FPC.solve ~budget:3 (counter_problem ~widening_delay:1000)))
 
-(* Pinned fixpoint work on the paper's own artifact, report cache off:
-   value and cache transfers of the interval analysis under both engines,
-   and the octagon transfers of the [auto] escalation. A schedule change
+(* Pinned work on the paper's own artifact, report cache off: value and
+   cache transfers of the interval analysis under both engines, the
+   octagon transfers of the [auto] escalation, and the simplex pivots of
+   its IPET solve. A schedule change
    that alters the pop order moves these numbers. *)
 let test_quickstart_pinned_counts () =
   let module A = Wcet_core.Analyzer in
@@ -191,7 +192,21 @@ let test_quickstart_pinned_counts () =
   let _, _, oct_wp = counts A.Whole_program Wcet_value.Analysis.Auto in
   let _, _, oct_sm = counts A.Summary Wcet_value.Analysis.Auto in
   Alcotest.(check int) "whole-program, auto: octagon transfers" 41 oct_wp;
-  Alcotest.(check int) "summary, auto: octagon transfers" 41 oct_sm
+  Alcotest.(check int) "summary, auto: octagon transfers" 41 oct_sm;
+  (* The IPET solve under the CLI defaults: Bland's rule over the same
+     tableau pivots the same number of times however the pivot is
+     implemented. *)
+  let pivots () =
+    match Wcet_obs.Metrics.find "simplex_pivots" with
+    | Some (Wcet_obs.Metrics.Counter_value n) -> n
+    | _ -> Alcotest.fail "simplex_pivots counter missing"
+  in
+  Wcet_obs.Obs.enable ();
+  let before = pivots () in
+  ignore (A.analyze ~domain:Wcet_value.Analysis.Auto program);
+  let after = pivots () in
+  Wcet_obs.Obs.disable ();
+  Alcotest.(check int) "summary, auto: simplex pivots" 12 (after - before)
 
 (* --- component-scheduled solve (solve_plan) --- *)
 

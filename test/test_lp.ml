@@ -303,6 +303,69 @@ let test_degenerate_random_vs_bruteforce () =
     | Ilp.Infeasible -> Alcotest.fail "unexpected infeasible"
   done
 
+(* The sparse pivot against the dense reference ({!Simplex_ref}): on
+   seeded random LPs — mixed Le/Ge/Eq rows, negative and zero right-hand
+   sides, fractional coefficients, duplicated and all-zero rows, with and
+   without a bounding box — both must return the same outcome, optimum and
+   assignment after the same number of pivots. *)
+let pivot_count () =
+  match Wcet_obs.Metrics.find "simplex_pivots" with
+  | Some (Wcet_obs.Metrics.Counter_value n) -> n
+  | _ -> Alcotest.fail "simplex_pivots counter missing"
+
+let random_lp rng =
+  let nv = 1 + Pcg.next_int rng 6 in
+  let coeff () =
+    match Pcg.next_int rng 8 with
+    | 0 | 1 | 2 -> Rat.zero
+    | 3 -> Rat.make (Pcg.next_int rng 7 - 3) 2
+    | _ -> q (Pcg.next_int rng 7 - 3)
+  in
+  let row () =
+    let coeffs = List.init nv (fun v -> (v, coeff ())) in
+    let op = match Pcg.next_int rng 3 with 0 -> Simplex.Le | 1 -> Simplex.Ge | _ -> Simplex.Eq in
+    (* Degenerate vertices come from zero right-hand sides. *)
+    let rhs = if Pcg.next_int rng 3 = 0 then Rat.zero else q (Pcg.next_int rng 21 - 6) in
+    { Simplex.coeffs; op; rhs }
+  in
+  let rows = List.init (1 + Pcg.next_int rng 6) (fun _ -> row ()) in
+  let rows = match rows with r :: _ when Pcg.next_int rng 4 = 0 -> r :: rows | _ -> rows in
+  let box =
+    if Pcg.next_int rng 4 = 0 then []
+    else List.init nv (fun v -> c [ (v, 1) ] Simplex.Le (1 + Pcg.next_int rng 9))
+  in
+  {
+    Simplex.num_vars = nv;
+    maximize = List.init nv (fun v -> (v, coeff ()));
+    constraints = rows @ box;
+  }
+
+let test_sparse_matches_dense_reference () =
+  Wcet_obs.Obs.enable ();
+  let rng = Pcg.create ~seed:20110318L () in
+  let outcome_str = function
+    | Simplex.Infeasible -> "infeasible"
+    | Simplex.Unbounded -> "unbounded"
+    | Simplex.Optimal (v, a) ->
+      Printf.sprintf "optimal %s at [%s]" (Rat.to_string v)
+        (String.concat "; " (Array.to_list (Array.map Rat.to_string a)))
+  in
+  let kinds = Hashtbl.create 3 in
+  for case = 1 to 400 do
+    let p = random_lp rng in
+    let want, want_pivots = Simplex_ref.solve p in
+    let before = pivot_count () in
+    let got = Simplex.solve p in
+    let got_pivots = pivot_count () - before in
+    Alcotest.(check string) (Printf.sprintf "case %d outcome" case) (outcome_str want)
+      (outcome_str got);
+    Alcotest.(check int) (Printf.sprintf "case %d pivots" case) want_pivots got_pivots;
+    Hashtbl.replace kinds (List.hd (String.split_on_char ' ' (outcome_str got))) ()
+  done;
+  Wcet_obs.Obs.disable ();
+  (* The generator reaches every outcome. *)
+  Alcotest.(check int) "outcome kinds covered" 3 (Hashtbl.length kinds)
+
 (* IPET-shaped problem: a diamond with a loop. *)
 let test_flow_shape () =
   (* Variables: e0 entry->A, e1 A->B, e2 A->C, e3 B->D, e4 C->D, e5 D->A
@@ -349,6 +412,8 @@ let () =
           Alcotest.test_case "empty objective phase 1" `Quick test_empty_objective_phase1;
           Alcotest.test_case "out-of-range variable" `Quick
             test_out_of_range_variable_rejected;
+          Alcotest.test_case "sparse pivot matches dense reference" `Quick
+            test_sparse_matches_dense_reference;
           Alcotest.test_case "degenerate random vs brute force" `Quick
             test_degenerate_random_vs_bruteforce;
         ] );

@@ -72,6 +72,69 @@ let test_span_attrs () =
           (List.assoc "at_entry" e.Trace.attrs = Trace.Int 1)
       | evs -> Alcotest.failf "expected one event, got %d" (List.length evs))
 
+(* Two systhreads on one domain (as the daemon's workers are) interleave
+   their spans in a fixed order, driven by a turn counter: A opens, B
+   opens, A opens a child, B opens a child, A closes its child, B closes
+   its child, A closes, B closes. Each thread must see only its own
+   stack: depths 0 and 1 on both sides, each child inside its own parent,
+   and the two threads on different tids. *)
+let test_span_stacks_per_thread () =
+  with_obs (fun () ->
+      let m = Mutex.create () and cv = Condition.create () and turn = ref 1 in
+      let await k =
+        Mutex.lock m;
+        while !turn <> k do
+          Condition.wait cv m
+        done;
+        Mutex.unlock m
+      in
+      let advance () =
+        Mutex.lock m;
+        incr turn;
+        Condition.broadcast cv;
+        Mutex.unlock m
+      in
+      let inner_depth = Array.make 2 (-1) in
+      (* Thread [me] starts at turn [first]; the other thread takes the
+         turns in between. *)
+      let run me first =
+        let name kind = Printf.sprintf "%c-%s" (Char.chr (Char.code 'a' + me)) kind in
+        await first;
+        Trace.with_span (name "outer") (fun () ->
+            advance ();
+            await (first + 2);
+            Trace.with_span (name "inner") (fun () ->
+                inner_depth.(me) <- Trace.depth ();
+                advance ();
+                await (first + 4));
+            advance ();
+            await (first + 6));
+        advance ()
+      in
+      let a = Thread.create (fun () -> run 0 1) () and b = Thread.create (fun () -> run 1 2) () in
+      Thread.join a;
+      Thread.join b;
+      Alcotest.(check (array int)) "depth inside each inner" [| 2; 2 |] inner_depth;
+      let events = Trace.events () in
+      Alcotest.(check (list string)) "completion order follows the turns"
+        [ "a-inner"; "b-inner"; "a-outer"; "b-outer" ]
+        (List.map (fun (e : Trace.event) -> e.Trace.name) events);
+      let by_name n = List.find (fun (e : Trace.event) -> e.Trace.name = n) events in
+      List.iter
+        (fun t ->
+          let outer = by_name (t ^ "-outer") and inner = by_name (t ^ "-inner") in
+          Alcotest.(check int) (t ^ "-outer at depth 0") 0 outer.Trace.depth;
+          Alcotest.(check int) (t ^ "-inner at depth 1") 1 inner.Trace.depth;
+          Alcotest.(check int) (t ^ ": one tid") outer.Trace.tid inner.Trace.tid;
+          Alcotest.(check bool) (t ^ "-inner within " ^ t ^ "-outer") true
+            (inner.Trace.start_ns >= outer.Trace.start_ns
+            && Int64.add inner.Trace.start_ns inner.Trace.dur_ns
+               <= Int64.add outer.Trace.start_ns outer.Trace.dur_ns))
+        [ "a"; "b" ];
+      Alcotest.(check bool) "threads on different tids" true
+        ((by_name "a-outer").Trace.tid <> (by_name "b-outer").Trace.tid);
+      Alcotest.(check int) "caller's stack untouched" 0 (Trace.depth ()))
+
 (* --- disabled mode --- *)
 
 let test_disabled_no_op () =
@@ -509,6 +572,7 @@ let () =
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "balances on exception" `Quick test_span_balances_on_exception;
           Alcotest.test_case "span attributes" `Quick test_span_attrs;
+          Alcotest.test_case "one span stack per thread" `Quick test_span_stacks_per_thread;
         ] );
       ( "disabled",
         [

@@ -239,6 +239,67 @@ let test_corpus_portfolio_never_worse () =
     (Printf.sprintf "at least one strict portfolio win on the corpus (%d)" !strict_wins)
     true (!strict_wins >= 0)
 
+(* The witness golden: every corpus scenario under the CLI defaults
+   (domain auto, summary engine, the portfolio) in a checked run, with each
+   backend re-run on the analyzer's own path problem. One line per
+   scenario: each backend's bound and a digest of its per-node counts (or
+   its error code). How a backend computes may change; what it returns may
+   not. *)
+let witness_golden_line id variant (s : Corpus.scenario) =
+  let program = Compile.compile ~options:s.Corpus.options s.Corpus.source in
+  let annot = s.Corpus.annotations program in
+  let name = id ^ "/" ^ variant in
+  match
+    Analyzer.analyze ~hw:s.Corpus.hw ~annot ~domain:Wcet_value.Analysis.Auto ~checks:true program
+  with
+  | exception Analyzer.Analysis_failed ds ->
+    Printf.sprintf "%s failed %s" name (String.concat "," (List.map (fun d -> d.Diag.code) ds))
+  | r ->
+    let spec = Analyzer.path_spec ~annot r in
+    let backend (module B : Path_analysis.BACKEND) =
+      let reported =
+        match List.find_opt (fun b -> b.Analyzer.br_name = B.name) r.Analyzer.backend_runs with
+        | Some b -> b.Analyzer.br_bound
+        | None -> Alcotest.failf "%s: backend %s did not run" name B.name
+      in
+      match B.solve spec r.Analyzer.loops with
+      | Error e ->
+        Alcotest.(check (option int)) (name ^ " " ^ B.name ^ " re-run fails too") None reported;
+        Printf.sprintf "%s=%s" B.name e.Path_analysis.err_code
+      | Ok sol ->
+        Alcotest.(check (option int))
+          (name ^ " " ^ B.name ^ " re-run reproduces the bound")
+          reported (Some sol.Path_analysis.wcet);
+        let counts =
+          String.concat "," (Array.to_list (Array.map string_of_int sol.Path_analysis.node_counts))
+        in
+        Printf.sprintf "%s=%d/%s" B.name sol.Path_analysis.wcet
+          (String.sub (Digest.to_hex (Digest.string counts)) 0 12)
+    in
+    String.concat " "
+      (name
+      :: List.map backend
+           [ (module Ipet : Path_analysis.BACKEND); (module Wcet_path.Mc); (module Wcet_path.Csolve) ]
+      )
+
+let witness_golden_lines () =
+  Wcet_core.Report_cache.disable ();
+  List.concat_map
+    (fun (e : Corpus.entry) ->
+      [
+        witness_golden_line e.Corpus.id "conforming" e.Corpus.conforming;
+        witness_golden_line e.Corpus.id "violating" e.Corpus.violating;
+      ])
+    Corpus.all
+
+let test_witness_golden () =
+  let expected =
+    In_channel.with_open_text "path_witness.golden" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check (list string)) "path_witness.golden" expected (witness_golden_lines ())
+
 (* --- plumbing --- *)
 
 let test_choice_parsing () =
@@ -274,6 +335,7 @@ let () =
           Alcotest.test_case "irreducible single backend fatal" `Quick
             test_irreducible_single_backend_fatal;
           Alcotest.test_case "corpus never worse" `Slow test_corpus_portfolio_never_worse;
+          Alcotest.test_case "witness golden" `Quick test_witness_golden;
         ] );
       ( "interface",
         [

@@ -69,6 +69,51 @@ let test_rat_floor_ceil () =
   Alcotest.(check int) "floor 4" 4 (Rat.floor (Rat.of_int 4));
   Alcotest.(check int) "ceil 4" 4 (Rat.ceil (Rat.of_int 4))
 
+(* Overflow raises on the integer fast paths (both operands with
+   denominator 1) and on the general path alike; no wrapped result ever
+   comes back. *)
+let test_rat_overflow () =
+  let raises name f = Alcotest.check_raises name Rat.Overflow (fun () -> ignore (f ())) in
+  let big = Rat.of_int max_int and small = Rat.of_int min_int in
+  raises "max_int + 1" (fun () -> Rat.add big Rat.one);
+  raises "1 + max_int" (fun () -> Rat.add Rat.one big);
+  raises "min_int + -1" (fun () -> Rat.add small Rat.minus_one);
+  raises "2^40 * 2^40" (fun () -> Rat.mul (Rat.of_int (1 lsl 40)) (Rat.of_int (1 lsl 40)));
+  raises "max_int * 2" (fun () -> Rat.mul big (Rat.of_int 2));
+  raises "min_int * -1" (fun () -> Rat.mul small Rat.minus_one);
+  raises "-1 * min_int" (fun () -> Rat.mul Rat.minus_one small);
+  raises "min_int - 1" (fun () -> Rat.sub small Rat.one);
+  raises "0 - min_int" (fun () -> Rat.sub Rat.zero small);
+  raises "max_int - -1" (fun () -> Rat.sub big Rat.minus_one);
+  raises "neg min_int" (fun () -> Rat.neg small);
+  (* General path: the cross-multiplied numerator overflows. *)
+  raises "max_int/2 + 1/3" (fun () -> Rat.add (Rat.make max_int 2) (Rat.make 1 3));
+  raises "max_int/2 - 1/3" (fun () -> Rat.sub (Rat.make max_int 2) (Rat.make 1 3));
+  raises "max_int/2 * 3/5" (fun () -> Rat.mul (Rat.make max_int 2) (Rat.make 3 5));
+  (* Results at the edge of the range are exact, not spurious overflows. *)
+  Alcotest.check rat "max_int + 0" big (Rat.add big Rat.zero);
+  Alcotest.check rat "max_int * 1" big (Rat.mul big Rat.one);
+  Alcotest.check rat "-1 - min_int" big (Rat.sub Rat.minus_one small);
+  Alcotest.check rat "max_int * -1" (Rat.of_int (-max_int)) (Rat.mul big Rat.minus_one)
+
+(* The integer fast paths agree with normalising the exact integer
+   result, including the 0 and +-1 shortcuts. *)
+let test_rat_integer_fast_paths () =
+  let vals = [ -7; -1; 0; 1; 2; 9 ] in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          let qa = Rat.of_int a and qb = Rat.of_int b in
+          let name op = Printf.sprintf "%d %s %d" a op b in
+          Alcotest.check rat (name "+") (Rat.make (a + b) 1) (Rat.add qa qb);
+          Alcotest.check rat (name "-") (Rat.make (a - b) 1) (Rat.sub qa qb);
+          Alcotest.check rat (name "*") (Rat.make (a * b) 1) (Rat.mul qa qb);
+          Alcotest.(check int) (name "compare") (compare a b) (Rat.compare qa qb);
+          if b <> 0 then Alcotest.check rat (name "/") (Rat.make a b) (Rat.div qa qb))
+        vals)
+    vals
+
 let rat_qcheck =
   let gen =
     QCheck2.Gen.map2 (fun n d -> Rat.make n (if d = 0 then 1 else d))
@@ -108,6 +153,8 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_rat_arith;
           Alcotest.test_case "compare" `Quick test_rat_compare;
           Alcotest.test_case "floor/ceil" `Quick test_rat_floor_ceil;
+          Alcotest.test_case "overflow" `Quick test_rat_overflow;
+          Alcotest.test_case "integer fast paths" `Quick test_rat_integer_fast_paths;
         ]
         @ rat_qcheck );
     ]
